@@ -43,9 +43,9 @@ void BM_CachePolicy(benchmark::State& state) {
   RunOptions opts;
   opts.num_hotspots = ScaledHotspots();
   opts.scheme = RoutingSchemeKind::kEmbed;
-  opts.cache_policy = policy;
+  opts.cluster.processor.cache_policy = policy;
   // Constrain capacity to 1/16 of the working set so eviction policy matters.
-  opts.cache_bytes = Env().graph().TotalAdjacencyBytes() / 16;
+  opts.cluster.processor.cache_bytes = Env().graph().TotalAdjacencyBytes() / 16;
   ClusterMetrics m;
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);
@@ -62,7 +62,7 @@ void BM_Stealing(benchmark::State& state) {
   RunOptions opts;
   opts.num_hotspots = ScaledHotspots();
   opts.scheme = scheme;
-  opts.stealing = stealing;
+  opts.cluster.enable_stealing = stealing;
   ClusterMetrics m;
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);

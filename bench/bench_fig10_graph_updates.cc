@@ -66,7 +66,7 @@ ClusterMetrics RunWithPreprocessedFraction(RoutingSchemeKind scheme, double frac
   // Unified engine config at the paper's defaults (ample cache) with the
   // online write path on: the tier preloads only the kept nodes.
   RunOptions opts;
-  opts.enable_mutations = true;
+  opts.cluster.enable_mutations = true;
   ClusterConfig cc = Env().MakeClusterConfig(opts);
   const std::vector<uint8_t> keep = KeepMask(g, fraction);
   cc.mutation_preload_keep = keep;

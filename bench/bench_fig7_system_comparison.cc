@@ -87,7 +87,7 @@ void BM_Fig7(benchmark::State& state) {
       case 3: {  // gRouting: same over Infiniband RDMA
         RunOptions opts;
         opts.scheme = RoutingSchemeKind::kEmbed;
-        opts.cost = system == 2 ? CostModel::EthernetDefaults()
+        opts.cluster.cost = system == 2 ? CostModel::EthernetDefaults()
                                 : CostModel::InfinibandDefaults();
         const auto m = env.Run(BenchEngine(), opts, queries);
         (system == 2 ? row.grouting_e_qps : row.grouting_qps) = m.throughput_qps;

@@ -34,7 +34,7 @@ void BM_Fig8a_Processors(benchmark::State& state) {
   RunOptions opts;
   opts.num_hotspots = ScaledHotspots();
   opts.scheme = scheme;
-  opts.processors = procs;
+  opts.cluster.num_processors = procs;
   ClusterMetrics m;
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);
@@ -50,8 +50,8 @@ void BM_Fig8c_StorageServers(benchmark::State& state) {
   RunOptions opts;
   opts.num_hotspots = ScaledHotspots();
   opts.scheme = scheme;
-  opts.processors = 4;
-  opts.storage_servers = servers;
+  opts.cluster.num_processors = 4;
+  opts.cluster.num_storage_servers = servers;
   ClusterMetrics m;
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);

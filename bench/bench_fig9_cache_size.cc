@@ -59,17 +59,18 @@ void BM_Fig9_CacheSweep(benchmark::State& state) {
   RunOptions opts;
   opts.num_hotspots = ScaledHotspots();
   opts.scheme = scheme;
-  opts.cache_bytes = std::max<uint64_t>(bytes, 1);
+  opts.cluster.processor.cache_bytes = std::max<uint64_t>(bytes, 1);
   ClusterMetrics m;
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);
   }
   SetCounters(state, m);
-  state.counters["cache_mb"] = static_cast<double>(opts.cache_bytes) / (1 << 20);
+  state.counters["cache_mb"] =
+      static_cast<double>(opts.cluster.processor.cache_bytes) / (1 << 20);
   char label[128];
   std::snprintf(label, sizeof(label), "%s cache=%.1f%% (%s)",
                 RoutingSchemeKindName(scheme).c_str(), 100.0 * fraction,
-                Table::Bytes(opts.cache_bytes).c_str());
+                Table::Bytes(opts.cluster.processor.cache_bytes).c_str());
   Rows().push_back({label, m});
 }
 
@@ -93,7 +94,7 @@ void PrintFig9c() {
       RunOptions opts;
       opts.num_hotspots = ScaledHotspots();
       opts.scheme = scheme;
-      opts.cache_bytes = mid;
+      opts.cluster.processor.cache_bytes = mid;
       const auto m = Env().Run(BenchEngine(), opts);
       if (m.mean_response_ms <= NoCacheResponseMs()) {
         best = mid;

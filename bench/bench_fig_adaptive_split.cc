@@ -54,16 +54,16 @@ std::vector<ResultRow>& ThresholdRows() {
 RunOptions AdaptiveOpts(SplitterKind splitter, double threshold) {
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kEmbed;
-  opts.router_shards = kShards;
-  opts.splitter = splitter;
-  opts.rebalance_threshold = threshold;
-  opts.migration_cap = 8;
+  opts.cluster.num_router_shards = kShards;
+  opts.cluster.router_splitter = splitter;
+  opts.cluster.router_rebalance_threshold = threshold;
+  opts.cluster.router_migration_cap = 8;
   // Spread arrivals so rebalance rounds interleave with the stream (with a
   // back-to-back stream every arrival is assigned before the first gossip
   // event) and give each round a ~40-arrival window — enough signal for the
   // controller's noise floor to separate skew from sampling jitter.
-  opts.gossip_period_us = 400.0;
-  opts.arrival_gap_us = 10.0;
+  opts.cluster.gossip_period_us = 400.0;
+  opts.cluster.arrival_gap_us = 10.0;
   return opts;
 }
 

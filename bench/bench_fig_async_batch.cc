@@ -72,9 +72,9 @@ void BM_AsyncBatch_WindowXCache(benchmark::State& state) {
   RunOptions opts;
   opts.num_hotspots = ScaledHotspots();
   opts.scheme = RoutingSchemeKind::kEmbed;
-  opts.storage_servers = kStorageServers;
-  opts.cache_bytes = CacheBytesFor(fraction);
-  opts.max_inflight_batches = window;
+  opts.cluster.num_storage_servers = kStorageServers;
+  opts.cluster.processor.cache_bytes = CacheBytesFor(fraction);
+  opts.cluster.processor.max_inflight_batches = window;
   ClusterMetrics m;
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);
@@ -92,9 +92,9 @@ void BM_AsyncBatch_WindowXScheme(benchmark::State& state) {
   RunOptions opts;
   opts.num_hotspots = ScaledHotspots();
   opts.scheme = scheme;
-  opts.storage_servers = kStorageServers;
-  opts.cache_bytes = CacheBytesFor(/*fraction=*/0.0625);
-  opts.max_inflight_batches = window;
+  opts.cluster.num_storage_servers = kStorageServers;
+  opts.cluster.processor.cache_bytes = CacheBytesFor(/*fraction=*/0.0625);
+  opts.cluster.processor.max_inflight_batches = window;
   ClusterMetrics m;
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);

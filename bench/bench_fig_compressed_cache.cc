@@ -64,19 +64,20 @@ void BM_CompressedCache(benchmark::State& state) {
   // trade, and this is the regime where the wire actually costs something
   // (on RDMA-class Infiniband the per-KB term is nearly free and the
   // decode tax has nothing to pay for).
-  opts.cost = CostModel::EthernetDefaults();
-  opts.cache_bytes = std::max<uint64_t>(bytes, 1);
-  opts.adjacency_encoding = mode.encoding;
-  opts.cache_compressed = mode.cache_compressed;
+  opts.cluster.cost = CostModel::EthernetDefaults();
+  opts.cluster.processor.cache_bytes = std::max<uint64_t>(bytes, 1);
+  opts.cluster.adjacency_encoding = mode.encoding;
+  opts.cluster.processor.cache_compressed = mode.cache_compressed;
   ClusterMetrics m;
   for (auto _ : state) {
     m = Env().Run(BenchEngine(), opts);
   }
   SetCounters(state, m);
-  state.counters["cache_mb"] = static_cast<double>(opts.cache_bytes) / (1 << 20);
+  state.counters["cache_mb"] =
+      static_cast<double>(opts.cluster.processor.cache_bytes) / (1 << 20);
   char label[128];
-  std::snprintf(label, sizeof(label), "%s cache=%.1f%% (%s)", mode.name,
-                100.0 * fraction, Table::Bytes(opts.cache_bytes).c_str());
+  std::snprintf(label, sizeof(label), "%s cache=%.1f%% (%s)", mode.name, 100.0 * fraction,
+                Table::Bytes(opts.cluster.processor.cache_bytes).c_str());
   Rows().push_back({label, m});
 }
 

@@ -63,9 +63,9 @@ std::vector<Query> MultitenantWorkload(uint32_t tenants, double skew) {
 RunOptions MultitenantOpts(uint32_t tenants, double quota_qps) {
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kEmbed;
-  opts.num_tenants = tenants;
-  opts.tenant_quota_qps = quota_qps;
-  opts.open_loop = true;
+  opts.cluster.num_tenants = tenants;
+  opts.cluster.tenant_quota_qps = quota_qps;
+  opts.cluster.open_loop_arrivals = true;
   return opts;
 }
 

@@ -56,21 +56,21 @@ std::vector<ResultRow>& ThresholdRows() {
 RunOptions RepartitionOpts(double threshold) {
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kEmbed;
-  opts.processors = 3;
-  opts.repartition_threshold = threshold;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 8;
+  opts.cluster.num_processors = 3;
+  opts.cluster.repartition_threshold = threshold;
+  opts.cluster.repartition_cap = 4;
+  opts.cluster.partitions_per_server = 8;
   // Small cache + few processors: the skewed hot set must keep missing into
   // storage, or the tier never sees the skew (with an ample cache every key
   // is fetched at most once per processor, the residual miss traffic is
   // cold and hash placement balances it on its own — the paper's point).
-  opts.cache_bytes = 64 << 10;
-  opts.max_inflight_batches = 2;
+  opts.cluster.processor.cache_bytes = 64 << 10;
+  opts.cluster.processor.max_inflight_batches = 2;
   // Spread arrivals so repartition rounds interleave with the stream, and
   // give each round a window wide enough for the monitor's noise floor to
   // separate real skew from sampling jitter.
-  opts.gossip_period_us = 400.0;
-  opts.arrival_gap_us = 10.0;
+  opts.cluster.gossip_period_us = 400.0;
+  opts.cluster.arrival_gap_us = 10.0;
   return opts;
 }
 

@@ -56,17 +56,17 @@ RunOptions ReplicationOpts(double threshold, uint32_t top_k) {
   // keep enough queries in flight for per-server queueing to show up in the
   // tail.
   opts.scheme = RoutingSchemeKind::kNoCache;
-  opts.processors = 8;
-  opts.storage_servers = 4;
-  opts.max_inflight_batches = 2;
-  opts.repartition_threshold = threshold;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 8;
-  opts.replication_top_k = top_k;
-  opts.max_replicas_per_partition = 3;
-  opts.replica_demote_threshold = 0.05;
-  opts.gossip_period_us = 100.0;
-  opts.arrival_gap_us = 0.5;
+  opts.cluster.num_processors = 8;
+  opts.cluster.num_storage_servers = 4;
+  opts.cluster.processor.max_inflight_batches = 2;
+  opts.cluster.repartition_threshold = threshold;
+  opts.cluster.repartition_cap = 4;
+  opts.cluster.partitions_per_server = 8;
+  opts.cluster.replication_top_k = top_k;
+  opts.cluster.max_replicas_per_partition = 3;
+  opts.cluster.replica_demote_threshold = 0.05;
+  opts.cluster.gossip_period_us = 100.0;
+  opts.cluster.arrival_gap_us = 0.5;
   // 1-hop traversals: deeper hops fan the hot sessions' reads across the
   // whole key space and hash placement balances them on its own.
   opts.hops = 1;

@@ -39,7 +39,7 @@ void BM_RouterShards_Scheme(benchmark::State& state) {
   const auto shards = static_cast<uint32_t>(state.range(1));
   RunOptions opts;
   opts.scheme = scheme;
-  opts.router_shards = shards;
+  opts.cluster.num_router_shards = shards;
   opts.num_hotspots = ScaledHotspots();
   ClusterMetrics m;
   for (auto _ : state) {
@@ -59,13 +59,13 @@ void BM_RouterShards_SplitterGossip(benchmark::State& state) {
   const bool gossip = state.range(1) != 0;
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kEmbed;
-  opts.router_shards = 4;
-  opts.splitter = splitter;
-  opts.gossip_period_us = gossip ? 200.0 : 0.0;
+  opts.cluster.num_router_shards = 4;
+  opts.cluster.router_splitter = splitter;
+  opts.cluster.gossip_period_us = gossip ? 200.0 : 0.0;
   // Spread arrivals so gossip rounds interleave with routing decisions;
   // with the paper's back-to-back stream every route happens before the
   // first gossip event and the comparison degenerates.
-  opts.arrival_gap_us = 25.0;
+  opts.cluster.arrival_gap_us = 25.0;
   opts.num_hotspots = ScaledHotspots();
   ClusterMetrics m;
   for (auto _ : state) {

@@ -8,10 +8,17 @@
 //
 // Prints the run's metrics as a table. `--help` lists everything.
 
+#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <map>
+#include <optional>
+#include <set>
+#include <sstream>
 #include <string>
+#include <system_error>
+#include <type_traits>
+#include <vector>
 
 #include "src/core/grouting.h"
 
@@ -19,40 +26,124 @@ using namespace grouting;
 
 namespace {
 
-struct Flags {
-  std::map<std::string, std::string> values;
-
-  std::string Get(const std::string& key, const std::string& def) const {
-    auto it = values.find(key);
-    return it == values.end() ? def : it->second;
-  }
-  double GetDouble(const std::string& key, double def) const {
-    auto it = values.find(key);
-    return it == values.end() ? def : std::atof(it->second.c_str());
-  }
-  int64_t GetInt(const std::string& key, int64_t def) const {
-    auto it = values.find(key);
-    return it == values.end() ? def : std::atoll(it->second.c_str());
-  }
-};
-
-Flags ParseFlags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg(argv[i]);
-    if (arg.rfind("--", 0) != 0) {
-      continue;
+// The command line as --key[=value] flags (a bare --key reads as "1").
+// Each getter consumes its key and records a diagnostic for a malformed or
+// out-of-range value, so main() reads every flag first and then reports all
+// problems, unknown keys included, before it builds anything.
+class Flags {
+ public:
+  Flags(int argc, char** argv) {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg(argv[i]);
+      const size_t eq = arg.find('=');
+      if (arg.rfind("--", 0) != 0) {
+        errors_.push_back("unexpected argument '" + arg + "'");
+      } else {
+        values_[arg.substr(2, eq - 2)] =
+            eq == std::string::npos ? "1" : arg.substr(eq + 1);
+      }
     }
-    arg = arg.substr(2);
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags.values[arg] = "1";
+  }
+
+  std::string String(const std::string& key, const std::string& def) {
+    const std::string* value = Take(key);
+    return value == nullptr ? def : *value;
+  }
+
+  bool Switch(const std::string& key) {
+    const std::string* value = Take(key);
+    if (value != nullptr && *value != "1") {
+      Reject(key, *value, "takes no value");
+    }
+    return value != nullptr;
+  }
+
+  // The entry of `choices` named by the flag; `name` receives the name.
+  template <typename T>
+  T Choice(const std::string& key, const std::string& def,
+           const std::map<std::string, T>& choices, std::string* name = nullptr) {
+    const std::string value = String(key, def);
+    if (name != nullptr) {
+      *name = value;
+    }
+    const auto it = choices.find(value);
+    if (it != choices.end()) {
+      return it->second;
+    }
+    std::string expected = "expected one of";
+    for (const auto& choice : choices) {
+      expected += " " + choice.first;
+    }
+    Reject(key, value, expected);
+    return T{};
+  }
+
+  // An integer or a finite number in [lo, hi]; signs, trailing text and
+  // overflow are all diagnostics.
+  template <typename T>
+  T Number(const std::string& key, T def, T lo = 0,
+           T hi = std::numeric_limits<T>::max()) {
+    const std::string* text = Take(key);
+    if (text == nullptr) {
+      return def;
+    }
+    T value{};
+    const char* end = text->data() + text->size();
+    const auto [ptr, ec] = std::from_chars(text->data(), end, value);
+    if (ec == std::errc() && ptr == end && value >= lo && value <= hi) {
+      return value;
+    }
+    std::ostringstream expected;
+    expected << "expected a number in [" << lo << ", ";
+    if (std::is_floating_point_v<T> && hi == std::numeric_limits<T>::max()) {
+      expected << "inf)";
     } else {
-      flags.values[arg.substr(0, eq)] = arg.substr(eq + 1);
+      expected << hi << "]";
     }
+    Reject(key, *text, expected.str());
+    return def;
   }
-  return flags;
-}
+
+  // A byte size such as 16MB; "0" stays 0 (the caller's "ample").
+  uint64_t Bytes(const std::string& key, const std::string& def) {
+    const std::string text = String(key, def);
+    const std::optional<uint64_t> bytes = ParseByteSize(text);
+    if (!bytes.has_value()) {
+      Reject(key, text, "expected a byte size such as 512, 64KB or 16MB");
+    }
+    return bytes.value_or(0);
+  }
+
+  void Fail(const std::string& error) { errors_.push_back(error); }
+
+  // Prints every diagnostic, unknown flags included; true if there were any.
+  bool ReportErrors() {
+    for (const auto& entry : values_) {
+      if (consumed_.count(entry.first) == 0) {
+        Fail("unknown flag --" + entry.first);
+      }
+    }
+    for (const std::string& error : errors_) {
+      std::fprintf(stderr, "grouting_cli: %s\n", error.c_str());
+    }
+    return !errors_.empty();
+  }
+
+ private:
+  const std::string* Take(const std::string& key) {
+    consumed_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
+  void Reject(const std::string& key, const std::string& value, const std::string& why) {
+    Fail("--" + key + "=" + value + ": " + why);
+  }
+
+  std::map<std::string, std::string> values_;
+  std::set<std::string> consumed_;
+  std::vector<std::string> errors_;
+};
 
 void PrintHelp() {
   std::printf(
@@ -166,7 +257,7 @@ uint64_t AnswerChecksum(const std::vector<AnsweredQuery>& answers, bool ids_only
 // Per-tenant admission/latency metrics as JSON, consumed by
 // tools/check_soak.py to gate the CI multi-tenant soak on both engines.
 bool WriteTenantMetricsJson(const std::string& path, const std::string& engine,
-                            const RunOptions& opts, size_t arrivals,
+                            const ClusterConfig& config, size_t arrivals,
                             const ClusterMetrics& m, uint64_t checksum) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -178,7 +269,7 @@ bool WriteTenantMetricsJson(const std::string& path, const std::string& engine,
                "  \"answered\": %llu,\n  \"shed_total\": %llu,\n"
                "  \"mutations_applied\": %llu,\n  \"index_refreshes\": %llu,\n"
                "  \"answer_checksum\": \"%016llx\",\n  \"per_tenant\": [",
-               engine.c_str(), opts.num_tenants, opts.tenant_quota_qps, arrivals,
+               engine.c_str(), config.num_tenants, config.tenant_quota_qps, arrivals,
                static_cast<unsigned long long>(m.queries),
                static_cast<unsigned long long>(m.queries_shed),
                static_cast<unsigned long long>(m.mutations_applied),
@@ -204,8 +295,8 @@ bool WriteTenantMetricsJson(const std::string& path, const std::string& engine,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags = ParseFlags(argc, argv);
-  if (flags.values.count("help")) {
+  Flags flags(argc, argv);
+  if (flags.Switch("help")) {
     PrintHelp();
     return 0;
   }
@@ -223,160 +314,143 @@ int main(int argc, char** argv) {
       {"landmark", RoutingSchemeKind::kLandmark},
       {"embed", RoutingSchemeKind::kEmbed},
   };
+  static const std::map<std::string, EngineKind> kEngines = {
+      {"sim", EngineKind::kSimulated},
+      {"threaded", EngineKind::kThreaded},
+  };
   static const std::map<std::string, CachePolicy> kPolicies = {
       {"lru", CachePolicy::kLru},
       {"fifo", CachePolicy::kFifo},
       {"lfu", CachePolicy::kLfu},
       {"clock", CachePolicy::kClock},
   };
-
-  const std::string dataset_name = flags.Get("dataset", "webgraph");
-  const std::string scheme_name = flags.Get("scheme", "embed");
-  const std::string engine_name = flags.Get("engine", "sim");
-  if (kDatasets.count(dataset_name) == 0 || kSchemes.count(scheme_name) == 0 ||
-      (engine_name != "sim" && engine_name != "threaded")) {
-    std::fprintf(stderr, "unknown --dataset, --scheme or --engine; see --help\n");
-    return 1;
-  }
-  const EngineKind engine =
-      engine_name == "threaded" ? EngineKind::kThreaded : EngineKind::kSimulated;
-
-  ExperimentEnv env(kDatasets.at(dataset_name), flags.GetDouble("scale", 0.25),
-                    static_cast<uint64_t>(flags.GetInt("seed", 4242)));
-
-  RunOptions opts;
-  opts.scheme = kSchemes.at(scheme_name);
-  opts.processors = static_cast<uint32_t>(flags.GetInt("processors", 7));
-  opts.storage_servers = static_cast<uint32_t>(flags.GetInt("storage", 4));
-  opts.cache_bytes = ParseByteSize(flags.Get("cache", "0"));
-  opts.cache_policy = kPolicies.count(flags.Get("policy", "lru"))
-                          ? kPolicies.at(flags.Get("policy", "lru"))
-                          : CachePolicy::kLru;
-  opts.cost = flags.Get("network", "infiniband") == "ethernet"
-                  ? CostModel::EthernetDefaults()
-                  : CostModel::InfinibandDefaults();
-  opts.hotspot_radius = static_cast<int32_t>(flags.GetInt("radius", 2));
-  opts.hops = static_cast<int32_t>(flags.GetInt("hops", 2));
-  opts.num_hotspots = static_cast<size_t>(flags.GetInt("hotspots", 100));
-  opts.queries_per_hotspot = static_cast<size_t>(flags.GetInt("per-hotspot", 10));
-  opts.num_landmarks = static_cast<size_t>(flags.GetInt("landmarks", 96));
-  opts.min_separation = static_cast<int32_t>(flags.GetInt("separation", 3));
-  opts.dimensions = static_cast<size_t>(flags.GetInt("dims", 10));
-  opts.load_factor = flags.GetDouble("load-factor", 20.0);
-  opts.alpha = flags.GetDouble("alpha", 0.5);
-  opts.stealing = flags.values.count("no-stealing") == 0;
+  static const std::map<std::string, CostModel> kNetworks = {
+      {"infiniband", CostModel::InfinibandDefaults()},
+      {"ethernet", CostModel::EthernetDefaults()},
+  };
   static const std::map<std::string, SplitterKind> kSplitters = {
       {"round_robin", SplitterKind::kRoundRobin},
       {"hash", SplitterKind::kHash},
       {"sticky", SplitterKind::kSticky},
       {"adaptive", SplitterKind::kAdaptive},
   };
-  opts.router_shards = static_cast<uint32_t>(flags.GetInt("router-shards", 1));
-  const std::string splitter_name = flags.Get("splitter", "round_robin");
-  if (kSplitters.count(splitter_name) == 0) {
-    std::fprintf(stderr, "unknown --splitter '%s'; see --help\n", splitter_name.c_str());
-    return 1;
-  }
-  opts.splitter = kSplitters.at(splitter_name);
-  opts.gossip_period_us = flags.GetDouble("gossip-period", 200.0);
-  opts.gossip_merge_weight = flags.GetDouble("gossip-weight", 0.5);
-  opts.rebalance_threshold = flags.GetDouble("rebalance-threshold", 0.0);
-  opts.migration_cap = static_cast<uint32_t>(flags.GetInt("migration-cap", 8));
-  opts.session_capacity =
-      static_cast<uint32_t>(flags.GetInt("session-capacity", 1 << 16));
-  opts.arrival_gap_us = flags.GetDouble("arrival-gap", 0.0);
-  opts.max_inflight_batches =
-      static_cast<uint32_t>(flags.GetInt("inflight-batches", 1));
-  opts.repartition_threshold = flags.GetDouble("repartition-threshold", 0.0);
-  opts.repartition_cap = static_cast<uint32_t>(flags.GetInt("repartition-cap", 4));
-  opts.partitions_per_server =
-      static_cast<uint32_t>(flags.GetInt("partitions-per-server", 8));
-  opts.replication_top_k =
-      static_cast<uint32_t>(flags.GetInt("replication-top-k", 0));
-  opts.replica_demote_threshold =
-      flags.GetDouble("replica-demote-threshold", 0.1);
-  opts.max_replicas_per_partition =
-      static_cast<uint32_t>(flags.GetInt("max-replicas-per-partition", 2));
-  const std::string encoding_name = flags.Get("adjacency-encoding", "raw");
-  if (encoding_name != "raw" && encoding_name != "delta_varint") {
-    std::fprintf(stderr, "unknown --adjacency-encoding '%s'; see --help\n",
-                 encoding_name.c_str());
-    return 1;
-  }
-  opts.adjacency_encoding = encoding_name == "delta_varint"
-                                ? AdjacencyEncoding::kDeltaVarint
-                                : AdjacencyEncoding::kRaw;
-  opts.cache_compressed = flags.values.count("cache-compressed") > 0;
-  const std::string trace_out = flags.Get("trace-out", "");
-  opts.trace_sample_every_n = static_cast<uint32_t>(
-      flags.GetInt("trace-sample-every-n", trace_out.empty() ? 0 : 1));
-  opts.trace_buffer_capacity =
-      static_cast<uint32_t>(flags.GetInt("trace-buffer-capacity", 1 << 16));
-  if (!trace_out.empty() && opts.trace_sample_every_n == 0) {
-    std::fprintf(stderr, "--trace-out requires --trace-sample-every-n >= 1\n");
-    return 1;
-  }
-  opts.num_tenants = static_cast<uint32_t>(flags.GetInt("num-tenants", 1));
-  opts.tenant_quota_qps = flags.GetDouble("tenant-quota-qps", 0.0);
-  opts.tenant_quota_burst = flags.GetDouble("tenant-quota-burst", 32.0);
-  opts.open_loop = flags.values.count("open-loop") > 0;
-  const std::string tenant_metrics_out = flags.Get("tenant-metrics-out", "");
-  if (opts.num_tenants == 0) {
-    std::fprintf(stderr, "--num-tenants must be >= 1\n");
-    return 1;
-  }
-  const double mutation_fraction = flags.GetDouble("mutation-fraction", 0.0);
-  if (mutation_fraction < 0.0 || mutation_fraction > 1.0) {
-    std::fprintf(stderr, "--mutation-fraction must be in [0, 1]\n");
-    return 1;
-  }
-  if (mutation_fraction > 0.0 && !opts.open_loop) {
-    std::fprintf(stderr, "--mutation-fraction requires --open-loop\n");
-    return 1;
-  }
-  opts.enable_mutations = mutation_fraction > 0.0;
-  opts.index_refresh_period_us = flags.GetDouble("index-refresh-period", 0.0);
+  static const std::map<std::string, AdjacencyEncoding> kEncodings = {
+      {"raw", AdjacencyEncoding::kRaw},
+      {"delta_varint", AdjacencyEncoding::kDeltaVarint},
+  };
 
+  std::string dataset_name, scheme_name, engine_name;
+  const DatasetId dataset = flags.Choice("dataset", "webgraph", kDatasets, &dataset_name);
+  const EngineKind engine = flags.Choice("engine", "sim", kEngines, &engine_name);
+  const std::string scale_text = flags.String("scale", "0.25");
+  const double scale = flags.Number("scale", 0.25);
+  if (scale == 0.0) {
+    flags.Fail("--scale must be > 0");
+  }
+  const uint64_t seed = flags.Number<uint64_t>("seed", 4242);
+
+  RunOptions opts;
+  opts.scheme = flags.Choice("scheme", "embed", kSchemes, &scheme_name);
+  opts.hotspot_radius = flags.Number<int32_t>("radius", 2);
+  opts.hops = flags.Number<int32_t>("hops", 2);
+  opts.num_hotspots = flags.Number<size_t>("hotspots", 100, 1);
+  opts.queries_per_hotspot = flags.Number<size_t>("per-hotspot", 10, 1);
+  opts.num_landmarks = flags.Number<size_t>("landmarks", 96, 1);
+  opts.min_separation = flags.Number<int32_t>("separation", 3);
+  opts.dimensions = flags.Number<size_t>("dims", 10, 1);
+  opts.load_factor = flags.Number("load-factor", 20.0);
+  opts.alpha = flags.Number("alpha", 0.5, 0.0, 1.0);
+
+  ClusterConfig& c = opts.cluster;
+  c.num_processors = flags.Number<uint32_t>("processors", 7, 1);
+  c.num_storage_servers = flags.Number<uint32_t>("storage", 4, 1);
+  c.processor.cache_bytes = flags.Bytes("cache", "0");
+  c.processor.cache_policy = flags.Choice("policy", "lru", kPolicies);
+  c.cost = flags.Choice("network", "infiniband", kNetworks);
+  c.enable_stealing = !flags.Switch("no-stealing");
+  c.num_router_shards = flags.Number<uint32_t>("router-shards", 1, 1);
+  c.router_splitter = flags.Choice("splitter", "round_robin", kSplitters);
+  c.gossip_period_us = flags.Number("gossip-period", 200.0);
+  c.gossip_merge_weight = flags.Number("gossip-weight", 0.5, 0.0, 1.0);
+  c.router_rebalance_threshold = flags.Number("rebalance-threshold", 0.0);
+  c.router_migration_cap = flags.Number<uint32_t>("migration-cap", 8);
+  c.router_session_capacity = flags.Number<uint32_t>("session-capacity", 1 << 16, 1);
+  c.arrival_gap_us = flags.Number("arrival-gap", 0.0);
+  c.processor.max_inflight_batches = flags.Number<uint32_t>("inflight-batches", 1, 1);
+  c.repartition_threshold = flags.Number("repartition-threshold", 0.0);
+  c.repartition_cap = flags.Number<uint32_t>("repartition-cap", 4);
+  c.partitions_per_server = flags.Number<uint32_t>("partitions-per-server", 8, 1);
+  c.replication_top_k = flags.Number<uint32_t>("replication-top-k", 0);
+  c.replica_demote_threshold = flags.Number("replica-demote-threshold", 0.1);
+  c.max_replicas_per_partition = flags.Number<uint32_t>(
+      "max-replicas-per-partition", 2, 0, PartitionMap::kMaxReplicas);
+  c.adjacency_encoding = flags.Choice("adjacency-encoding", "raw", kEncodings);
+  c.processor.cache_compressed = flags.Switch("cache-compressed");
+  const std::string trace_out = flags.String("trace-out", "");
+  c.trace_sample_every_n =
+      flags.Number<uint32_t>("trace-sample-every-n", trace_out.empty() ? 0 : 1);
+  c.trace_buffer_capacity = flags.Number<uint32_t>("trace-buffer-capacity", 1 << 16, 1);
+  if (!trace_out.empty() && c.trace_sample_every_n == 0) {
+    flags.Fail("--trace-out requires --trace-sample-every-n >= 1");
+  }
+  c.num_tenants = flags.Number<uint32_t>("num-tenants", 1, 1);
+  c.tenant_quota_qps = flags.Number("tenant-quota-qps", 0.0);
+  c.tenant_quota_burst = flags.Number("tenant-quota-burst", 32.0, 1.0);
+  c.open_loop_arrivals = flags.Switch("open-loop");
+  const std::string tenant_metrics_out = flags.String("tenant-metrics-out", "");
+  const double mutation_fraction = flags.Number("mutation-fraction", 0.0, 0.0, 1.0);
+  if (mutation_fraction > 0.0 && !c.open_loop_arrivals) {
+    flags.Fail("--mutation-fraction requires --open-loop");
+  }
+  c.enable_mutations = mutation_fraction > 0.0;
+  c.index_refresh_period_us = flags.Number("index-refresh-period", 0.0);
+
+  OpenLoopConfig ol;
+  ol.num_tenants = c.num_tenants;
+  ol.num_arrivals = flags.Number<size_t>("arrivals", 8192, 1);
+  ol.arrival_rate_qps = flags.Number("arrival-rate", 50000.0);
+  if (ol.arrival_rate_qps == 0.0) {
+    flags.Fail("--arrival-rate must be > 0");
+  }
+  ol.tenant_skew = flags.Number("tenant-skew", 1.0);
+  ol.sessions_per_tenant = flags.Number<uint64_t>("sessions-per-tenant", 1000000, 1);
+  ol.session_skew = flags.Number("session-skew", 1.1);
+  ol.hops = opts.hops;
+  if (flags.ReportErrors()) {
+    return 1;
+  }
+
+  ExperimentEnv env(dataset, scale, seed);
+  ol.seed = env.seed() ^ 0x99;
   const Graph& g = env.graph();
   std::printf("dataset %s (scale %.2f): %zu nodes, %zu edges\n", dataset_name.c_str(),
-              flags.GetDouble("scale", 0.25), g.num_nodes(), g.num_edges());
+              scale, g.num_nodes(), g.num_edges());
   std::printf("running %s on %u processors / %u storage servers (%s, %s engine)...\n",
-              scheme_name.c_str(), opts.processors, opts.storage_servers,
-              opts.cost.net.name.c_str(), EngineKindName(engine).c_str());
+              scheme_name.c_str(), c.num_processors, c.num_storage_servers,
+              c.cost.net.name.c_str(), EngineKindName(engine).c_str());
 
   // Assembled by hand (rather than env.Run) so the engine outlives the run:
   // the trace export reads the recorder after the metrics come back.
   std::vector<Query> workload;
   std::vector<GraphMutation> mutations;
-  if (opts.open_loop) {
-    OpenLoopConfig ol;
-    ol.num_tenants = opts.num_tenants;
-    ol.num_arrivals = static_cast<size_t>(flags.GetInt("arrivals", 8192));
-    ol.arrival_rate_qps = flags.GetDouble("arrival-rate", 50000.0);
-    ol.tenant_skew = flags.GetDouble("tenant-skew", 1.0);
-    ol.sessions_per_tenant =
-        static_cast<size_t>(flags.GetInt("sessions-per-tenant", 1000000));
-    ol.session_skew = flags.GetDouble("session-skew", 1.1);
-    ol.hops = opts.hops;
-    ol.seed = env.seed() ^ 0x99;
+  if (c.open_loop_arrivals) {
     if (mutation_fraction > 0.0) {
       // Mixed read/write stream from one arrival process: a deterministic
       // slice of the arrivals becomes live edge writes at the same instants.
       MutationScheduleConfig mc;
       mc.seed = env.seed() ^ 0x66;
-      MixedWorkload mixed =
-          GenerateMixedOpenLoopWorkload(env.graph(), ol, mutation_fraction, mc);
+      MixedWorkload mixed = GenerateMixedOpenLoopWorkload(g, ol, mutation_fraction, mc);
       workload = std::move(mixed.queries);
       mutations = std::move(mixed.mutations);
     } else {
-      workload = GenerateOpenLoopWorkload(env.graph(), ol);
+      workload = GenerateOpenLoopWorkload(g, ol);
     }
   } else {
     workload = env.HotspotWorkload(opts.hotspot_radius, opts.hops, opts.num_hotspots,
                                    opts.queries_per_hotspot);
   }
-  auto cluster = MakeClusterEngine(engine, env.graph(), env.MakeClusterConfig(opts),
-                                   env.MakeStrategy(opts));
+  const ClusterConfig config = env.MakeClusterConfig(opts);
+  auto cluster = MakeClusterEngine(engine, g, config, env.MakeStrategy(opts));
   if (!mutations.empty()) {
     cluster->set_mutation_schedule(std::move(mutations));
   }
@@ -386,7 +460,7 @@ int main(int argc, char** argv) {
     TraceMetadata metadata;
     metadata.emplace_back("dataset", dataset_name);
     metadata.emplace_back("scheme", scheme_name);
-    metadata.emplace_back("scale", flags.Get("scale", "0.25"));
+    metadata.emplace_back("scale", scale_text);
     if (cluster->ExportTrace(trace_out, metadata)) {
       std::printf("wrote trace: %s (%llu events, %llu dropped)\n", trace_out.c_str(),
                   static_cast<unsigned long long>(m.trace_events_recorded),
@@ -412,10 +486,11 @@ int main(int argc, char** argv) {
                                        Table::Int(static_cast<int64_t>(m.cache_misses))});
   t.AddRow({"bytes from storage", Table::Bytes(m.bytes_from_storage)});
   t.AddRow({"storage batches", Table::Int(static_cast<int64_t>(m.storage_batches))});
-  if (opts.adjacency_encoding != AdjacencyEncoding::kRaw || opts.cache_compressed) {
-    t.AddRow({"adjacency encoding", AdjacencyEncodingName(opts.adjacency_encoding) +
-                                        (opts.cache_compressed ? " (compressed cache)"
-                                                               : "")});
+  if (config.adjacency_encoding != AdjacencyEncoding::kRaw ||
+      config.processor.cache_compressed) {
+    t.AddRow({"adjacency encoding",
+              AdjacencyEncodingName(config.adjacency_encoding) +
+                  (config.processor.cache_compressed ? " (compressed cache)" : "")});
     t.AddRow({"compression ratio", Table::Num(m.adjacency_compression_ratio, 2) + "x"});
     t.AddRow({"cache entries", Table::Int(static_cast<int64_t>(m.cache_entries))});
     t.AddRow({"decompress time", Table::Num(m.decompress_us / 1000.0, 3) + " ms"});
@@ -423,8 +498,7 @@ int main(int argc, char** argv) {
   t.AddRow({"storage load imbalance",
             Table::Num(m.storage_load_imbalance, 2) + " max/min"});
   t.AddRow({"steals", Table::Int(static_cast<int64_t>(m.steals))});
-  const RepartitionConfig repartition =
-      env.MakeClusterConfig(opts).MakeRepartitionConfig();
+  const RepartitionConfig repartition = config.MakeRepartitionConfig();
   if (repartition.active()) {
     t.AddRow({"partitions migrated",
               Table::Int(static_cast<int64_t>(m.partitions_migrated))});
@@ -438,12 +512,12 @@ int main(int argc, char** argv) {
     t.AddRow({"replica demotions",
               Table::Int(static_cast<int64_t>(m.replica_demotions))});
   }
-  if (opts.max_inflight_batches > 1) {
+  if (config.processor.max_inflight_batches > 1) {
     t.AddRow({"inflight batch peak",
               Table::Int(static_cast<int64_t>(m.batches_inflight_peak))});
     t.AddRow({"fetch overlap", Table::Num(m.fetch_overlap_us / 1000.0, 3) + " ms"});
   }
-  if (opts.trace_sample_every_n > 0) {
+  if (config.trace_sample_every_n > 0) {
     t.AddRow({"trace events", Table::Int(static_cast<int64_t>(m.trace_events_recorded)) +
                                   " (" +
                                   Table::Int(static_cast<int64_t>(m.trace_events_dropped)) +
@@ -451,9 +525,10 @@ int main(int argc, char** argv) {
     t.AddRow({"trace ring high-water",
               Table::Int(static_cast<int64_t>(m.trace_buffer_high_water))});
   }
-  if (opts.router_shards > 1) {
-    t.AddRow({"router shards", Table::Int(static_cast<int64_t>(opts.router_shards)) +
-                                   " (" + SplitterKindName(opts.splitter) + ")"});
+  if (config.num_router_shards > 1) {
+    t.AddRow({"router shards",
+              Table::Int(static_cast<int64_t>(config.num_router_shards)) + " (" +
+                  SplitterKindName(config.router_splitter) + ")"});
     t.AddRow({"gossip rounds", Table::Int(static_cast<int64_t>(m.gossip_rounds))});
     t.AddRow({"ema divergence", Table::Num(m.router_ema_divergence, 4)});
     t.AddRow({"load imbalance", Table::Num(m.router_load_imbalance, 2) + " max/min"});
@@ -464,15 +539,15 @@ int main(int argc, char** argv) {
                 Table::Int(static_cast<int64_t>(m.sticky_evictions))});
     }
   }
-  if (opts.enable_mutations) {
+  if (config.enable_mutations) {
     t.AddRow({"mutations applied",
               Table::Int(static_cast<int64_t>(m.mutations_applied))});
     t.AddRow({"index refreshes",
               Table::Int(static_cast<int64_t>(m.index_refreshes))});
     t.AddRow({"stale distance error", Table::Num(m.stale_distance_error, 4)});
   }
-  if (opts.num_tenants > 1 || opts.tenant_quota_qps > 0.0) {
-    t.AddRow({"tenants", Table::Int(static_cast<int64_t>(opts.num_tenants))});
+  if (config.num_tenants > 1 || config.tenant_quota_qps > 0.0) {
+    t.AddRow({"tenants", Table::Int(static_cast<int64_t>(config.num_tenants))});
     t.AddRow({"queries shed", Table::Int(static_cast<int64_t>(m.queries_shed))});
     for (const TenantMetrics& tm : m.per_tenant) {
       t.AddRow({"tenant " + Table::Int(tm.tenant),
@@ -487,8 +562,8 @@ int main(int argc, char** argv) {
     // Under concurrent mutations the observed values depend on engine
     // timing; exactly-once is then asserted over the answered-id set.
     const uint64_t checksum =
-        AnswerChecksum(cluster->answers(), /*ids_only=*/opts.enable_mutations);
-    if (WriteTenantMetricsJson(tenant_metrics_out, engine_name, opts, workload.size(),
+        AnswerChecksum(cluster->answers(), /*ids_only=*/config.enable_mutations);
+    if (WriteTenantMetricsJson(tenant_metrics_out, engine_name, config, workload.size(),
                                m, checksum)) {
       std::printf("wrote tenant metrics: %s\n", tenant_metrics_out.c_str());
     } else {

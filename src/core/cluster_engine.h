@@ -237,6 +237,7 @@ struct TenantMetrics {
     const uint64_t offered = queries + shed;
     return offered == 0 ? 0.0 : static_cast<double>(shed) / static_cast<double>(offered);
   }
+  bool operator==(const TenantMetrics&) const = default;
 };
 
 // One metrics struct for either engine. Times are virtual µs for the

@@ -93,57 +93,29 @@ std::unique_ptr<RoutingStrategy> ExperimentEnv::MakeStrategy(const RunOptions& o
       return std::make_unique<HashStrategy>();
     case RoutingSchemeKind::kLandmark:
       return std::make_unique<LandmarkStrategy>(
-          &landmark_index(options.processors, options.num_landmarks,
+          &landmark_index(options.cluster.num_processors, options.num_landmarks,
                           options.min_separation),
           options.load_factor);
     case RoutingSchemeKind::kEmbed:
       return std::make_unique<EmbedStrategy>(
           &embedding(options.dimensions, options.num_landmarks, options.min_separation),
-          options.alpha, options.load_factor, options.processors, seed_ ^ 0x44);
+          options.alpha, options.load_factor, options.cluster.num_processors,
+          seed_ ^ 0x44);
   }
   GROUTING_CHECK_MSG(false, "unknown routing scheme");
   return nullptr;
 }
 
 ClusterConfig ExperimentEnv::MakeClusterConfig(const RunOptions& options) {
-  ClusterConfig config;
-  config.num_processors = options.processors;
-  config.num_storage_servers = options.storage_servers;
-  config.processor.cache_bytes =
-      options.cache_bytes == 0 ? AmpleCacheBytes() : options.cache_bytes;
-  config.processor.cache_policy = options.cache_policy;
+  ClusterConfig config = options.cluster;
+  if (config.processor.cache_bytes == 0) {
+    config.processor.cache_bytes = AmpleCacheBytes();
+  }
   config.processor.use_cache = options.scheme != RoutingSchemeKind::kNoCache;
-  config.processor.max_inflight_batches = options.max_inflight_batches;
-  config.processor.cache_compressed = options.cache_compressed;
-  config.adjacency_encoding = options.adjacency_encoding;
-  config.cost = options.cost;
   // The threaded engine cannot pace virtual time, but carrying the network
   // profile's propagation delay as an injected per-batch wait keeps
   // cost-model sweeps (Ethernet vs Infiniband) meaningful on real threads.
-  config.injected_network_us = options.cost.net.one_way_us;
-  config.enable_stealing = options.stealing;
-  config.num_router_shards = options.router_shards;
-  config.router_splitter = options.splitter;
-  config.gossip_period_us = options.gossip_period_us;
-  config.gossip_merge_weight = options.gossip_merge_weight;
-  config.router_rebalance_threshold = options.rebalance_threshold;
-  config.router_migration_cap = options.migration_cap;
-  config.router_session_capacity = options.session_capacity;
-  config.repartition_threshold = options.repartition_threshold;
-  config.repartition_cap = options.repartition_cap;
-  config.partitions_per_server = options.partitions_per_server;
-  config.replication_top_k = options.replication_top_k;
-  config.replica_demote_threshold = options.replica_demote_threshold;
-  config.max_replicas_per_partition = options.max_replicas_per_partition;
-  config.trace_sample_every_n = options.trace_sample_every_n;
-  config.trace_buffer_capacity = options.trace_buffer_capacity;
-  config.arrival_gap_us = options.arrival_gap_us;
-  config.num_tenants = options.num_tenants;
-  config.tenant_quota_qps = options.tenant_quota_qps;
-  config.tenant_quota_burst = options.tenant_quota_burst;
-  config.open_loop_arrivals = options.open_loop;
-  config.enable_mutations = options.enable_mutations;
-  config.index_refresh_period_us = options.index_refresh_period_us;
+  config.injected_network_us = config.cost.net.one_way_us;
   return config;
 }
 
@@ -158,7 +130,7 @@ ClusterMetrics ExperimentEnv::Run(EngineKind engine, const RunOptions& options,
 
   auto cluster = MakeClusterEngine(engine, graph(), MakeClusterConfig(options),
                                    MakeStrategy(options));
-  if (options.enable_mutations && options.num_mutations > 0) {
+  if (options.cluster.enable_mutations && options.num_mutations > 0) {
     MutationScheduleConfig mc;
     mc.num_mutations = options.num_mutations;
     mc.gap_us = options.mutation_gap_us;
@@ -166,11 +138,6 @@ ClusterMetrics ExperimentEnv::Run(EngineKind engine, const RunOptions& options,
     cluster->set_mutation_schedule(GenerateMutationSchedule(graph(), {}, mc));
   }
   return cluster->Run(queries);
-}
-
-ClusterMetrics ExperimentEnv::RunDecoupled(const RunOptions& options,
-                                           std::span<const Query> queries) {
-  return Run(EngineKind::kSimulated, options, queries);
 }
 
 }  // namespace grouting

@@ -8,7 +8,7 @@
 // Run() assembles a fresh cluster (cold caches, as in the paper) on the
 // requested engine — EngineKind::kSimulated for the paper's modelled
 // cluster, EngineKind::kThreaded for real threads — and runs the hotspot
-// workload. RunDecoupled() is the historical simulated-engine shim.
+// workload.
 
 #ifndef GROUTING_SRC_CORE_EXPERIMENT_H_
 #define GROUTING_SRC_CORE_EXPERIMENT_H_
@@ -42,87 +42,35 @@ struct PaperDefaults {
   static constexpr size_t kQueriesPerHotspot = 10;
 };
 
+// One experiment point: a cluster shape plus what the cluster does not
+// know about — the routing scheme, its index parameters, the hotspot
+// workload shape and the mutation schedule.
 struct RunOptions {
+  // Processors, storage servers, cache, network and every engine knob.
+  // processor.cache_bytes defaults to 0 = "ample" (everything fits; the
+  // paper's 4 GB setting never evicts), which MakeClusterConfig resolves.
+  ClusterConfig cluster = [] {
+    ClusterConfig config;
+    config.processor.cache_bytes = 0;
+    return config;
+  }();
   RoutingSchemeKind scheme = RoutingSchemeKind::kEmbed;
-  uint32_t processors = PaperDefaults::kProcessors;
-  uint32_t storage_servers = PaperDefaults::kStorageServers;
-  // 0 = "ample" (everything fits; the paper's 4 GB setting never evicts).
-  uint64_t cache_bytes = 0;
-  CachePolicy cache_policy = CachePolicy::kLru;
-  bool stealing = true;
-  // Async storage pipeline: bound on outstanding multiget batches per
-  // processor. 1 = the classic synchronous level barrier.
-  uint32_t max_inflight_batches = 1;
-  // Adjacency wire format the storage tier stores and ships
-  // (src/storage/adjacency.h), and whether processor caches admit the
-  // compressed blob instead of the decoded entry.
-  AdjacencyEncoding adjacency_encoding = AdjacencyEncoding::kRaw;
-  bool cache_compressed = false;
-  // Router frontend tier: shards of the arrival stream, splitter kind, and
-  // the load/EMA gossip between them (see src/frontend/).
-  uint32_t router_shards = 1;
-  SplitterKind splitter = SplitterKind::kRoundRobin;
-  double gossip_period_us = 200.0;
-  double gossip_merge_weight = 0.5;
-  // Adaptive arrival re-splitting (splitter == kAdaptive): migration trigger
-  // ratio (<= 1 disables — adaptive then equals sticky), per-round session
-  // cap, and the sticky/adaptive session-table bound.
-  double rebalance_threshold = 0.0;
-  uint32_t migration_cap = 8;
-  uint32_t session_capacity = 1u << 16;
-  // Storage-tier adaptive repartitioning (src/partition/repartition.h):
-  // migration trigger ratio over per-server decayed access rates (<= 1
-  // disables — the tier then keeps the paper's static hash placement),
-  // per-round partition cap, and the virtual-partition granularity.
-  double repartition_threshold = 0.0;
-  uint32_t repartition_cap = 4;
-  uint32_t partitions_per_server = 8;
-  // Hot-partition replication riding the same planner rounds: promote the
-  // top-k hottest partitions to an extra replica (0 disables), demote
-  // replicas whose rate falls to or below this fraction of the average
-  // per-server load, and cap the extra copies a partition may hold.
-  uint32_t replication_top_k = 0;
-  double replica_demote_threshold = 0.1;
-  uint32_t max_replicas_per_partition = 2;
-  // Query-lifecycle tracing (src/obs/): record every Nth query's spans into
-  // the engine's trace rings; 0 disables tracing, 1 traces every query.
-  uint32_t trace_sample_every_n = 0;
-  // Capacity (events) of each per-processor / per-router-shard trace ring.
-  uint32_t trace_buffer_capacity = 1u << 16;
-  // Simulated engine: inter-arrival gap (µs). The paper's workload is
-  // back-to-back (0); a positive gap interleaves arrivals with execution
-  // and gossip rounds, which is what makes inter-shard gossip observable
-  // in routing decisions.
-  double arrival_gap_us = 0.0;
   double load_factor = PaperDefaults::kLoadFactor;
   double alpha = PaperDefaults::kAlpha;
   size_t dimensions = PaperDefaults::kDimensions;
   size_t num_landmarks = PaperDefaults::kNumLandmarks;
   int32_t min_separation = PaperDefaults::kMinSeparation;
-  CostModel cost = CostModel::InfinibandDefaults();
   // Workload shape (r-hop hotspots, h-hop traversals).
   int32_t hotspot_radius = 2;
   int32_t hops = 2;
   size_t num_hotspots = PaperDefaults::kHotspots;
   size_t queries_per_hotspot = PaperDefaults::kQueriesPerHotspot;
-  // Multi-tenant graph federation: tenant keyspace count, per-tenant
-  // admission quota (qps of schedule time; <= 0 = no quota) with its token
-  // burst, and whether Query::arrive_us open-loop timestamps drive arrivals
-  // instead of arrival_gap_us pacing.
-  uint32_t num_tenants = 1;
-  double tenant_quota_qps = 0.0;
-  double tenant_quota_burst = 32.0;
-  bool open_loop = false;
-  // Online graph mutations (src/workload/mutations.h): enable the storage
-  // tier's versioned write path, and — when num_mutations > 0 — generate a
+  // Online graph mutations (src/workload/mutations.h): when
+  // cluster.enable_mutations and num_mutations > 0, Run() generates a
   // deterministic edge-mutation schedule (seed = env seed ^ 0x66) spaced
-  // mutation_gap_us apart and install it on the engine before Run().
-  bool enable_mutations = false;
+  // mutation_gap_us apart and installs it on the engine.
   size_t num_mutations = 0;
   double mutation_gap_us = 50.0;
-  // Minimum virtual/wall time between index-maintenance passes on the
-  // gossip cadence; 0 = refresh on every gossip tick.
-  double index_refresh_period_us = 0.0;
 };
 
 class ExperimentEnv {
@@ -161,9 +109,10 @@ class ExperimentEnv {
   // stays valid for the env's lifetime.
   std::unique_ptr<RoutingStrategy> MakeStrategy(const RunOptions& options);
 
-  // Lowers an options struct into the unified engine config (resolving
-  // "ample" cache to a concrete byte count and the no-cache scheme to a
-  // cache-less processor). Benches that assemble engines manually (custom
+  // Lowers an options struct into the unified engine config: `cluster`
+  // with "ample" cache resolved to a concrete byte count, use_cache off for
+  // the no-cache scheme, and injected_network_us set to the cost model's
+  // one-way delay. Benches that assemble engines manually (custom
   // strategies, explicit storage placements) start from this.
   ClusterConfig MakeClusterConfig(const RunOptions& options);
 
@@ -171,10 +120,6 @@ class ExperimentEnv {
   // workload implied by `options` (or `queries` if provided).
   ClusterMetrics Run(EngineKind engine, const RunOptions& options,
                      std::span<const Query> queries = {});
-
-  // Thin shim: Run(EngineKind::kSimulated, ...).
-  ClusterMetrics RunDecoupled(const RunOptions& options,
-                              std::span<const Query> queries = {});
 
   uint64_t seed() const { return seed_; }
 

@@ -9,6 +9,7 @@
 //   ExperimentEnv env(DatasetId::kWebGraphLike, /*scale=*/0.5);
 //   RunOptions opts;
 //   opts.scheme = RoutingSchemeKind::kEmbed;
+//   opts.cluster.num_processors = 7;   // cluster shape: a ClusterConfig
 //   auto metrics = env.Run(EngineKind::kSimulated, opts);   // virtual time
 //   auto real = env.Run(EngineKind::kThreaded, opts);       // real threads
 //

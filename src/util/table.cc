@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
+#include <limits>
 
 #include "src/util/check.h"
 
@@ -89,40 +90,40 @@ std::string Table::ToString() const {
   return out;
 }
 
-uint64_t ParseByteSize(const std::string& text) {
-  if (text.empty()) {
-    return 0;
-  }
+std::optional<uint64_t> ParseByteSize(const std::string& text) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
   size_t i = 0;
   uint64_t value = 0;
-  bool any_digit = false;
   while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
-    value = value * 10 + static_cast<uint64_t>(text[i] - '0');
-    any_digit = true;
+    const uint64_t digit = static_cast<uint64_t>(text[i] - '0');
+    if (value > (kMax - digit) / 10) {
+      return std::nullopt;
+    }
+    value = value * 10 + digit;
     ++i;
   }
-  if (!any_digit) {
-    return 0;
+  if (i == 0) {
+    return std::nullopt;
   }
   std::string unit = text.substr(i);
   std::transform(unit.begin(), unit.end(), unit.begin(),
                  [](unsigned char c) { return std::toupper(c); });
-  if (unit.empty() || unit == "B") {
-    return value;
-  }
+  int shift = 0;
   if (unit == "KB" || unit == "K") {
-    return value << 10;
+    shift = 10;
+  } else if (unit == "MB" || unit == "M") {
+    shift = 20;
+  } else if (unit == "GB" || unit == "G") {
+    shift = 30;
+  } else if (unit == "TB" || unit == "T") {
+    shift = 40;
+  } else if (!unit.empty() && unit != "B") {
+    return std::nullopt;
   }
-  if (unit == "MB" || unit == "M") {
-    return value << 20;
+  if (value > (kMax >> shift)) {
+    return std::nullopt;
   }
-  if (unit == "GB" || unit == "G") {
-    return value << 30;
-  }
-  if (unit == "TB" || unit == "T") {
-    return value << 40;
-  }
-  return 0;
+  return value << shift;
 }
 
 }  // namespace grouting

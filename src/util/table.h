@@ -6,6 +6,7 @@
 #define GROUTING_SRC_UTIL_TABLE_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,8 @@ class Table {
 };
 
 // Parses byte-size strings such as "16MB", "4GB", "512" (bytes).
-// Returns 0 on malformed input.
-uint64_t ParseByteSize(const std::string& text);
+// Returns nullopt on malformed input or a size that overflows 64 bits.
+std::optional<uint64_t> ParseByteSize(const std::string& text);
 
 }  // namespace grouting
 

@@ -208,17 +208,17 @@ TEST_F(AdaptiveEngineFixture, BothEnginesAnswerExactlyOnceUnderAggressiveRebalan
     SCOPED_TRACE(EngineKindName(kind));
     RunOptions opts;
     opts.scheme = RoutingSchemeKind::kEmbed;
-    opts.processors = 3;
-    opts.storage_servers = 2;
+    opts.cluster.num_processors = 3;
+    opts.cluster.num_storage_servers = 2;
     opts.num_landmarks = 24;
     opts.min_separation = 2;
     opts.dimensions = 6;
-    opts.router_shards = 4;
-    opts.splitter = SplitterKind::kAdaptive;
-    opts.rebalance_threshold = 1.05;
-    opts.migration_cap = 64;
-    opts.gossip_period_us = 25.0;
-    opts.arrival_gap_us = 2.0;
+    opts.cluster.num_router_shards = 4;
+    opts.cluster.router_splitter = SplitterKind::kAdaptive;
+    opts.cluster.router_rebalance_threshold = 1.05;
+    opts.cluster.router_migration_cap = 64;
+    opts.cluster.gossip_period_us = 25.0;
+    opts.cluster.arrival_gap_us = 2.0;
 
     auto engine = MakeClusterEngine(kind, env_->graph(), env_->MakeClusterConfig(opts),
                                     env_->MakeStrategy(opts));

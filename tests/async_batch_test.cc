@@ -42,14 +42,14 @@ class AsyncBatchTest : public ::testing::Test {
   static RunOptions SmallRun(RoutingSchemeKind scheme, uint32_t window) {
     RunOptions opts;
     opts.scheme = scheme;
-    opts.processors = 3;
-    opts.storage_servers = 2;
+    opts.cluster.num_processors = 3;
+    opts.cluster.num_storage_servers = 2;
     opts.num_landmarks = 24;
     opts.min_separation = 2;
     opts.dimensions = 6;
     opts.num_hotspots = 20;
     opts.queries_per_hotspot = 4;
-    opts.max_inflight_batches = window;
+    opts.cluster.processor.max_inflight_batches = window;
     return opts;
   }
 
@@ -237,12 +237,12 @@ TEST_F(AsyncBatchTest, ExactlyOnceUnderMigrationConcurrentRun) {
   const auto queries = env_->SkewedWorkload(/*sessions=*/30, /*queries=*/240,
                                             /*zipf_s=*/1.1);
   RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed, /*window=*/4);
-  opts.router_shards = 3;
-  opts.splitter = SplitterKind::kAdaptive;
-  opts.rebalance_threshold = 1.2;
-  opts.migration_cap = 8;
-  opts.gossip_period_us = 50.0;
-  opts.arrival_gap_us = 2.0;
+  opts.cluster.num_router_shards = 3;
+  opts.cluster.router_splitter = SplitterKind::kAdaptive;
+  opts.cluster.router_rebalance_threshold = 1.2;
+  opts.cluster.router_migration_cap = 8;
+  opts.cluster.gossip_period_us = 50.0;
+  opts.cluster.arrival_gap_us = 2.0;
 
   for (const EngineKind kind : {EngineKind::kSimulated, EngineKind::kThreaded}) {
     SCOPED_TRACE(EngineKindName(kind));
@@ -298,10 +298,11 @@ TEST_F(AsyncBatchTest, MeanResponseMonotoneOrFlatInWindowAtSmallCache) {
   // response worse (2 storage servers bound a level's fan-out, so any
   // window >= 2 overlaps every batch a level has).
   RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed, 1);
-  opts.cache_bytes = std::max<uint64_t>(env_->graph().TotalAdjacencyBytes() / 16, 1);
+  opts.cluster.processor.cache_bytes =
+      std::max<uint64_t>(env_->graph().TotalAdjacencyBytes() / 16, 1);
   double prev = 0.0;
   for (const uint32_t window : {1u, 2u, 4u, 8u}) {
-    opts.max_inflight_batches = window;
+    opts.cluster.processor.max_inflight_batches = window;
     const ClusterMetrics m = env_->Run(EngineKind::kSimulated, opts);
     SCOPED_TRACE("window " + std::to_string(window));
     EXPECT_GT(m.mean_response_ms, 0.0);
@@ -317,7 +318,8 @@ TEST_F(AsyncBatchTest, MeanResponseMonotoneOrFlatInWindowAtSmallCache) {
 
 TEST_F(AsyncBatchTest, ThreadedAsyncRunReportsOverlap) {
   RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed, 4);
-  opts.cache_bytes = std::max<uint64_t>(env_->graph().TotalAdjacencyBytes() / 16, 1);
+  opts.cluster.processor.cache_bytes =
+      std::max<uint64_t>(env_->graph().TotalAdjacencyBytes() / 16, 1);
   const ClusterMetrics m = env_->Run(EngineKind::kThreaded, opts);
   EXPECT_EQ(m.queries, 20u * 4u);
   // Real fetch threads serviced real handles: some probe/merge work ran
@@ -326,7 +328,7 @@ TEST_F(AsyncBatchTest, ThreadedAsyncRunReportsOverlap) {
   EXPECT_GE(m.batches_inflight_peak, 1u);
 
   RunOptions sync_opts = opts;
-  sync_opts.max_inflight_batches = 1;
+  sync_opts.cluster.processor.max_inflight_batches = 1;
   const ClusterMetrics sync_m = env_->Run(EngineKind::kThreaded, sync_opts);
   EXPECT_DOUBLE_EQ(sync_m.fetch_overlap_us, 0.0);
   EXPECT_EQ(sync_m.batches_inflight_peak, 0u);

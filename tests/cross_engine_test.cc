@@ -33,8 +33,8 @@ class CrossEngineTest : public ::testing::Test {
   static RunOptions SmallRun(RoutingSchemeKind scheme) {
     RunOptions opts;
     opts.scheme = scheme;
-    opts.processors = 3;
-    opts.storage_servers = 2;
+    opts.cluster.num_processors = 3;
+    opts.cluster.num_storage_servers = 2;
     opts.num_landmarks = 24;
     opts.min_separation = 2;
     opts.dimensions = 6;
@@ -112,12 +112,12 @@ TEST_F(CrossEngineTest, ShardedAdaptiveParityForEveryScheme) {
   for (const RoutingSchemeKind scheme : kAllSchemes) {
     SCOPED_TRACE(RoutingSchemeKindName(scheme));
     RunOptions opts = SmallRun(scheme);
-    opts.router_shards = 3;
-    opts.splitter = SplitterKind::kAdaptive;
-    opts.rebalance_threshold = 1.2;
-    opts.migration_cap = 8;
-    opts.gossip_period_us = 50.0;
-    opts.arrival_gap_us = 2.0;
+    opts.cluster.num_router_shards = 3;
+    opts.cluster.router_splitter = SplitterKind::kAdaptive;
+    opts.cluster.router_rebalance_threshold = 1.2;
+    opts.cluster.router_migration_cap = 8;
+    opts.cluster.gossip_period_us = 50.0;
+    opts.cluster.arrival_gap_us = 2.0;
     const ClusterConfig config = env_->MakeClusterConfig(opts);
 
     auto sim = MakeClusterEngine(EngineKind::kSimulated, g, config,
@@ -159,13 +159,13 @@ TEST_F(CrossEngineTest, RepartitioningParityForEveryScheme) {
   for (const RoutingSchemeKind scheme : kAllSchemes) {
     SCOPED_TRACE(RoutingSchemeKindName(scheme));
     RunOptions opts = SmallRun(scheme);
-    opts.cache_bytes = 64 << 10;
-    opts.max_inflight_batches = 3;
-    opts.repartition_threshold = 1.1;
-    opts.repartition_cap = 4;
-    opts.partitions_per_server = 8;
-    opts.gossip_period_us = 50.0;
-    opts.arrival_gap_us = 2.0;
+    opts.cluster.processor.cache_bytes = 64 << 10;
+    opts.cluster.processor.max_inflight_batches = 3;
+    opts.cluster.repartition_threshold = 1.1;
+    opts.cluster.repartition_cap = 4;
+    opts.cluster.partitions_per_server = 8;
+    opts.cluster.gossip_period_us = 50.0;
+    opts.cluster.arrival_gap_us = 2.0;
     const ClusterConfig config = env_->MakeClusterConfig(opts);
 
     auto sim = MakeClusterEngine(EngineKind::kSimulated, g, config,
@@ -209,21 +209,21 @@ TEST_F(CrossEngineTest, ReplicationParityForEveryScheme) {
   for (const RoutingSchemeKind scheme : kAllSchemes) {
     SCOPED_TRACE(RoutingSchemeKindName(scheme));
     RunOptions opts = SmallRun(scheme);
-    opts.storage_servers = 4;
-    opts.cache_bytes = 8 << 10;
-    opts.max_inflight_batches = 3;
-    opts.repartition_threshold = 1.1;
-    opts.repartition_cap = 4;
-    opts.partitions_per_server = 8;
-    opts.replication_top_k = 4;
-    opts.max_replicas_per_partition = 3;
-    opts.replica_demote_threshold = 0.05;
-    opts.gossip_period_us = 50.0;
-    opts.arrival_gap_us = 1.0;
+    opts.cluster.num_storage_servers = 4;
+    opts.cluster.processor.cache_bytes = 8 << 10;
+    opts.cluster.processor.max_inflight_batches = 3;
+    opts.cluster.repartition_threshold = 1.1;
+    opts.cluster.repartition_cap = 4;
+    opts.cluster.partitions_per_server = 8;
+    opts.cluster.replication_top_k = 4;
+    opts.cluster.max_replicas_per_partition = 3;
+    opts.cluster.replica_demote_threshold = 0.05;
+    opts.cluster.gossip_period_us = 50.0;
+    opts.cluster.arrival_gap_us = 1.0;
     const ClusterConfig config = env_->MakeClusterConfig(opts);
 
     RunOptions off = opts;
-    off.replication_top_k = 0;
+    off.cluster.replication_top_k = 0;
 
     auto sim = MakeClusterEngine(EngineKind::kSimulated, g, config,
                                  env_->MakeStrategy(opts));
@@ -280,7 +280,7 @@ TEST_F(CrossEngineTest, AsyncWindowParityForEveryScheme) {
   for (const RoutingSchemeKind scheme : kAllSchemes) {
     SCOPED_TRACE(RoutingSchemeKindName(scheme));
     RunOptions opts = SmallRun(scheme);
-    opts.max_inflight_batches = 4;
+    opts.cluster.processor.max_inflight_batches = 4;
     const ClusterConfig config = env_->MakeClusterConfig(opts);
 
     auto sim = MakeClusterEngine(EngineKind::kSimulated, g, config,
@@ -294,7 +294,7 @@ TEST_F(CrossEngineTest, AsyncWindowParityForEveryScheme) {
     EXPECT_GE(sim_m.batches_inflight_peak, 1u);
 
     RunOptions sync_opts = SmallRun(scheme);
-    sync_opts.max_inflight_batches = 1;
+    sync_opts.cluster.processor.max_inflight_batches = 1;
     auto sync_sim = MakeClusterEngine(EngineKind::kSimulated, g,
                                       env_->MakeClusterConfig(sync_opts),
                                       env_->MakeStrategy(sync_opts));
@@ -344,7 +344,7 @@ TEST_F(CrossEngineTest, EncodingParityForEveryScheme) {
   for (const RoutingSchemeKind scheme : kAllSchemes) {
     SCOPED_TRACE(RoutingSchemeKindName(scheme));
     RunOptions raw_opts = SmallRun(scheme);
-    raw_opts.cache_bytes = 64 << 10;
+    raw_opts.cluster.processor.cache_bytes = 64 << 10;
     auto raw_sim = MakeClusterEngine(EngineKind::kSimulated, g,
                                      env_->MakeClusterConfig(raw_opts),
                                      env_->MakeStrategy(raw_opts));
@@ -355,9 +355,9 @@ TEST_F(CrossEngineTest, EncodingParityForEveryScheme) {
     for (const EncodingMode& mode : kModes) {
       SCOPED_TRACE(mode.name);
       RunOptions opts = SmallRun(scheme);
-      opts.cache_bytes = 64 << 10;
-      opts.adjacency_encoding = mode.encoding;
-      opts.cache_compressed = mode.cache_compressed;
+      opts.cluster.processor.cache_bytes = 64 << 10;
+      opts.cluster.adjacency_encoding = mode.encoding;
+      opts.cluster.processor.cache_compressed = mode.cache_compressed;
       const ClusterConfig config = env_->MakeClusterConfig(opts);
 
       auto sim = MakeClusterEngine(EngineKind::kSimulated, g, config,

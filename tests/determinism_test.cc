@@ -63,9 +63,11 @@ void ExpectMetricsIdentical(const ClusterMetrics& a, const ClusterMetrics& b) {
   EXPECT_EQ(a.trace_events_recorded, b.trace_events_recorded);
   EXPECT_EQ(a.trace_events_dropped, b.trace_events_dropped);
   EXPECT_EQ(a.trace_buffer_high_water, b.trace_buffer_high_water);
+  EXPECT_EQ(a.queries_shed, b.queries_shed);
   EXPECT_EQ(a.mutations_applied, b.mutations_applied);
   EXPECT_EQ(a.index_refreshes, b.index_refreshes);
   EXPECT_EQ(a.stale_distance_error, b.stale_distance_error);
+  EXPECT_EQ(a.per_tenant, b.per_tenant);
 }
 
 TEST(DeterminismTest, SimMetricsAreBitIdenticalAcrossRuns) {
@@ -76,22 +78,22 @@ TEST(DeterminismTest, SimMetricsAreBitIdenticalAcrossRuns) {
     for (const RoutingSchemeKind scheme : kAllSchemes) {
       RunOptions opts;
       opts.scheme = scheme;
-      opts.processors = 3;
-      opts.storage_servers = 4;
+      opts.cluster.num_processors = 3;
+      opts.cluster.num_storage_servers = 4;
       opts.num_landmarks = 12;
       opts.min_separation = 2;
       opts.dimensions = 4;
-      opts.cache_bytes = 32 << 10;
-      opts.max_inflight_batches = 2;
-      opts.repartition_threshold = 1.1;
-      opts.repartition_cap = 4;
-      opts.partitions_per_server = 4;
-      opts.replication_top_k = 2;
-      opts.max_replicas_per_partition = 2;
-      opts.replica_demote_threshold = 0.1;
-      opts.gossip_period_us = 50.0;
-      opts.arrival_gap_us = 2.0;
-      opts.trace_sample_every_n = 3;
+      opts.cluster.processor.cache_bytes = 32 << 10;
+      opts.cluster.processor.max_inflight_batches = 2;
+      opts.cluster.repartition_threshold = 1.1;
+      opts.cluster.repartition_cap = 4;
+      opts.cluster.partitions_per_server = 4;
+      opts.cluster.replication_top_k = 2;
+      opts.cluster.max_replicas_per_partition = 2;
+      opts.cluster.replica_demote_threshold = 0.1;
+      opts.cluster.gossip_period_us = 50.0;
+      opts.cluster.arrival_gap_us = 2.0;
+      opts.cluster.trace_sample_every_n = 3;
 
       const ClusterMetrics first = env.Run(EngineKind::kSimulated, opts, queries);
       const ClusterMetrics second = env.Run(EngineKind::kSimulated, opts, queries);
@@ -116,23 +118,23 @@ TEST(DeterminismTest, SimMetricsAreBitIdenticalUnderOnlineMutations) {
     for (const RoutingSchemeKind scheme : kAllSchemes) {
       RunOptions opts;
       opts.scheme = scheme;
-      opts.processors = 3;
-      opts.storage_servers = 4;
+      opts.cluster.num_processors = 3;
+      opts.cluster.num_storage_servers = 4;
       opts.num_landmarks = 12;
       opts.min_separation = 2;
       opts.dimensions = 4;
-      opts.cache_bytes = 32 << 10;
-      opts.max_inflight_batches = 2;
-      opts.repartition_threshold = 1.1;
-      opts.repartition_cap = 4;
-      opts.partitions_per_server = 4;
-      opts.replication_top_k = 2;
-      opts.gossip_period_us = 50.0;
-      opts.arrival_gap_us = 2.0;
-      opts.enable_mutations = true;
+      opts.cluster.processor.cache_bytes = 32 << 10;
+      opts.cluster.processor.max_inflight_batches = 2;
+      opts.cluster.repartition_threshold = 1.1;
+      opts.cluster.repartition_cap = 4;
+      opts.cluster.partitions_per_server = 4;
+      opts.cluster.replication_top_k = 2;
+      opts.cluster.gossip_period_us = 50.0;
+      opts.cluster.arrival_gap_us = 2.0;
+      opts.cluster.enable_mutations = true;
       opts.num_mutations = 96;
       opts.mutation_gap_us = 20.0;
-      opts.index_refresh_period_us = 100.0;
+      opts.cluster.index_refresh_period_us = 100.0;
 
       const ClusterMetrics first = env.Run(EngineKind::kSimulated, opts, queries);
       const ClusterMetrics second = env.Run(EngineKind::kSimulated, opts, queries);
@@ -143,6 +145,37 @@ TEST(DeterminismTest, SimMetricsAreBitIdenticalUnderOnlineMutations) {
       EXPECT_EQ(first.mutations_applied, 96u);
       ExpectMetricsIdentical(first, second);
     }
+  }
+}
+
+TEST(DeterminismTest, SimMetricsAreBitIdenticalUnderTenantAdmission) {
+  // Federated tenants on an open-loop schedule with the Zipf-heavy tenant 0
+  // over its quota: the admission plan, the shed count and every per-tenant
+  // row must repeat exactly.
+  for (const uint64_t seed : kSeeds) {
+    ExperimentEnv env(DatasetId::kWebGraphLike, /*scale=*/0.06, seed);
+    OpenLoopConfig open_loop;
+    open_loop.num_tenants = 3;
+    open_loop.num_arrivals = 600;
+    open_loop.arrival_rate_qps = 50000.0;
+    open_loop.seed = seed ^ 0x99;
+    const auto queries = GenerateOpenLoopWorkload(env.graph(), open_loop);
+    RunOptions opts;
+    opts.scheme = RoutingSchemeKind::kLandmark;
+    opts.num_landmarks = 12;
+    opts.min_separation = 2;
+    opts.cluster.num_processors = 3;
+    opts.cluster.num_tenants = 3;
+    opts.cluster.open_loop_arrivals = true;
+    opts.cluster.tenant_quota_qps = 15000.0;
+    opts.cluster.tenant_quota_burst = 16.0;
+
+    const ClusterMetrics first = env.Run(EngineKind::kSimulated, opts, queries);
+    const ClusterMetrics second = env.Run(EngineKind::kSimulated, opts, queries);
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    EXPECT_GT(first.queries_shed, 0u);
+    EXPECT_EQ(first.per_tenant.size(), 3u);
+    ExpectMetricsIdentical(first, second);
   }
 }
 

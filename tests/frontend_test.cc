@@ -220,8 +220,8 @@ class FrontendFixture : public ::testing::Test {
   static RunOptions SmallRun(RoutingSchemeKind scheme) {
     RunOptions opts;
     opts.scheme = scheme;
-    opts.processors = 3;
-    opts.storage_servers = 2;
+    opts.cluster.num_processors = 3;
+    opts.cluster.num_storage_servers = 2;
     opts.num_landmarks = 24;
     opts.min_separation = 2;
     opts.dimensions = 6;
@@ -247,9 +247,9 @@ TEST_F(FrontendFixture, SingleShardFleetIsAnswerIdenticalToRouter) {
     const RunOptions opts = SmallRun(scheme);
     // Two identically seeded strategy instances: one behind the classic
     // router, one behind a fleet of one.
-    Router reference(env_->MakeStrategy(opts), opts.processors);
+    Router reference(env_->MakeStrategy(opts), opts.cluster.num_processors);
     FleetConfig fc;  // num_shards = 1
-    RouterFleet fleet(env_->MakeStrategy(opts), opts.processors, fc);
+    RouterFleet fleet(env_->MakeStrategy(opts), opts.cluster.num_processors, fc);
 
     // Identical routing decisions for the whole arrival stream...
     for (const Query& q : queries) {
@@ -261,7 +261,7 @@ TEST_F(FrontendFixture, SingleShardFleetIsAnswerIdenticalToRouter) {
     // ...and identical dispatch (incl. steal) decisions when drained the
     // same way.
     while (reference.HasPending() || fleet.HasPending()) {
-      for (uint32_t p = 0; p < opts.processors; ++p) {
+      for (uint32_t p = 0; p < opts.cluster.num_processors; ++p) {
         const auto expected = reference.NextForProcessor(p);
         const auto got = fleet.NextForProcessor(p);
         ASSERT_EQ(got.has_value(), expected.has_value());
@@ -283,7 +283,7 @@ TEST_F(FrontendFixture, GossipRoundReducesCrossShardEmaDivergence) {
   FleetConfig fc;
   fc.num_shards = 4;
   fc.splitter = SplitterKind::kRoundRobin;
-  RouterFleet fleet(env_->MakeStrategy(opts), opts.processors, fc);
+  RouterFleet fleet(env_->MakeStrategy(opts), opts.cluster.num_processors, fc);
 
   // Shards' EMAs drift apart as each routes only its slice of the stream.
   const auto queries = env_->HotspotWorkload(2, 2, 20, 5);
@@ -303,8 +303,8 @@ TEST_F(FrontendFixture, GossipRoundReducesCrossShardEmaDivergence) {
 
 TEST_F(FrontendFixture, SimEngineGossipConvergesAndAnswersExactlyOnce) {
   RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed);
-  opts.router_shards = 4;
-  opts.gossip_period_us = 100.0;
+  opts.cluster.num_router_shards = 4;
+  opts.cluster.gossip_period_us = 100.0;
   const auto queries = env_->HotspotWorkload(2, 2, 20, 5);
   auto engine = MakeClusterEngine(EngineKind::kSimulated, env_->graph(),
                                   env_->MakeClusterConfig(opts),
@@ -337,8 +337,8 @@ TEST_F(FrontendFixture, SimEngineGossipConvergesAndAnswersExactlyOnce) {
 
 TEST_F(FrontendFixture, ThreadedEngineShardedAnswersExactlyOnce) {
   RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed);
-  opts.router_shards = 4;
-  opts.gossip_period_us = 50.0;
+  opts.cluster.num_router_shards = 4;
+  opts.cluster.gossip_period_us = 50.0;
   const auto queries = env_->HotspotWorkload(2, 2, 20, 5);
   auto engine = MakeClusterEngine(EngineKind::kThreaded, env_->graph(),
                                   env_->MakeClusterConfig(opts),
@@ -366,8 +366,8 @@ TEST_F(FrontendFixture, ShardedFleetMatchesSingleRouterAnswersOnBothEngines) {
     SCOPED_TRACE(EngineKindName(kind));
     RunOptions single = SmallRun(RoutingSchemeKind::kLandmark);
     RunOptions sharded = single;
-    sharded.router_shards = 3;
-    sharded.splitter = SplitterKind::kSticky;
+    sharded.cluster.num_router_shards = 3;
+    sharded.cluster.router_splitter = SplitterKind::kSticky;
 
     auto a = MakeClusterEngine(kind, env_->graph(), env_->MakeClusterConfig(single),
                                env_->MakeStrategy(single));
@@ -402,11 +402,11 @@ TEST_F(FrontendFixture, AdaptiveFleetOfOneIsAnswerIdenticalToRouter) {
   // the classic router, even with an aggressive threshold and forced rounds.
   const auto queries = env_->HotspotWorkload(2, 2, 20, 5);
   const RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed);
-  Router reference(env_->MakeStrategy(opts), opts.processors);
+  Router reference(env_->MakeStrategy(opts), opts.cluster.num_processors);
   FleetConfig fc;
   fc.splitter = SplitterKind::kAdaptive;
   fc.rebalance.threshold = 1.01;
-  RouterFleet fleet(env_->MakeStrategy(opts), opts.processors, fc);
+  RouterFleet fleet(env_->MakeStrategy(opts), opts.cluster.num_processors, fc);
   for (const Query& q : queries) {
     const uint32_t expected = reference.Enqueue(q);
     const RouterFleet::RoutedArrival got = fleet.Enqueue(q);
@@ -443,7 +443,7 @@ TEST_F(FrontendFixture, AdaptiveConvergesUnderSkewWhereHashStaysImbalanced) {
     // chase the trigger all the way down (the 3-sigma default is sized for
     // short, jittery gossip windows).
     fc.rebalance.noise_sigmas = 1.0;
-    RouterFleet fleet(env_->MakeStrategy(opts), opts.processors, fc);
+    RouterFleet fleet(env_->MakeStrategy(opts), opts.cluster.num_processors, fc);
     std::vector<uint64_t> warmup;
     for (size_t i = 0; i < queries.size(); ++i) {
       fleet.Enqueue(queries[i]);
@@ -478,7 +478,7 @@ TEST_F(FrontendFixture, MigrationCarriesEmaStateToDestinationShard) {
   fc.rebalance.threshold = 1.5;
   fc.rebalance.migration_cap = 1;
   fc.rebalance.state_carry_weight = 0.5;
-  RouterFleet fleet(env_->MakeStrategy(opts), opts.processors, fc);
+  RouterFleet fleet(env_->MakeStrategy(opts), opts.cluster.num_processors, fc);
 
   // Four sessions alternate shards; shard 0's two run hot.
   const auto nodes = env_->HotspotWorkload(2, 2, 4, 1);
@@ -616,7 +616,7 @@ TEST_F(FrontendFixture, ShardSweepRunsUnderThreadedEngine) {
       SCOPED_TRACE(RoutingSchemeKindName(scheme) + " shards=" +
                    std::to_string(shards));
       RunOptions opts = SmallRun(scheme);
-      opts.router_shards = shards;
+      opts.cluster.num_router_shards = shards;
       opts.num_hotspots = 10;
       const ClusterMetrics m = env_->Run(EngineKind::kThreaded, opts);
       EXPECT_EQ(m.queries, opts.num_hotspots * opts.queries_per_hotspot);

@@ -87,10 +87,10 @@ TEST_F(IntegrationTest, TinyCacheWorseThanNoCache) {
   RunOptions opts = SmallRun(RoutingSchemeKind::kHash);
   opts.num_landmarks = 24;
   opts.min_separation = 2;
-  opts.cache_bytes = 8 << 10;  // 8 KB: pure churn
+  opts.cluster.processor.cache_bytes = 8 << 10;  // 8 KB: pure churn
   auto tiny = env_->Run(EngineKind::kSimulated, opts);
   opts.scheme = RoutingSchemeKind::kNoCache;
-  opts.cache_bytes = 0;
+  opts.cluster.processor.cache_bytes = 0;
   auto none = env_->Run(EngineKind::kSimulated, opts);
   EXPECT_GT(tiny.mean_response_ms, none.mean_response_ms);
 }
@@ -100,9 +100,9 @@ TEST_F(IntegrationTest, ThroughputScalesWithProcessorsUnderEmbed) {
   opts.num_landmarks = 24;
   opts.min_separation = 2;
   opts.dimensions = 6;
-  opts.processors = 1;
+  opts.cluster.num_processors = 1;
   auto p1 = env_->Run(EngineKind::kSimulated, opts);
-  opts.processors = 4;
+  opts.cluster.num_processors = 4;
   auto p4 = env_->Run(EngineKind::kSimulated, opts);
   EXPECT_GT(p4.throughput_qps, p1.throughput_qps * 2.0);
 }

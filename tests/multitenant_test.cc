@@ -173,13 +173,13 @@ class MultiTenantTest : public ::testing::Test {
   static RunOptions SmallRun(uint32_t tenants) {
     RunOptions opts;
     opts.scheme = RoutingSchemeKind::kEmbed;
-    opts.processors = 3;
-    opts.storage_servers = 2;
+    opts.cluster.num_processors = 3;
+    opts.cluster.num_storage_servers = 2;
     opts.num_landmarks = 24;
     opts.min_separation = 2;
     opts.dimensions = 6;
-    opts.num_tenants = tenants;
-    opts.open_loop = true;
+    opts.cluster.num_tenants = tenants;
+    opts.cluster.open_loop_arrivals = true;
     return opts;
   }
 
@@ -230,8 +230,8 @@ TEST_F(MultiTenantTest, CrossEngineParityWithQuotas) {
   const auto queries = OpenLoop(/*tenants=*/4, /*arrivals=*/3000,
                                 /*rate_qps=*/50000.0, /*skew=*/1.0, /*seed=*/5);
   RunOptions opts = SmallRun(4);
-  opts.tenant_quota_qps = 18000.0;
-  opts.tenant_quota_burst = 64.0;
+  opts.cluster.tenant_quota_qps = 18000.0;
+  opts.cluster.tenant_quota_burst = 64.0;
   const ClusterConfig config = env_->MakeClusterConfig(opts);
 
   auto sim = MakeClusterEngine(EngineKind::kSimulated, env_->graph(), config,
@@ -333,8 +333,8 @@ TEST_F(MultiTenantTest, QuotaShieldsVictimTenantFromStorm) {
   const ClusterMetrics solo_m = solo->Run(victim_as_tenant1);
 
   RunOptions storm_opts = SmallRun(2);
-  storm_opts.tenant_quota_qps = 8000.0;
-  storm_opts.tenant_quota_burst = 32.0;
+  storm_opts.cluster.tenant_quota_qps = 8000.0;
+  storm_opts.cluster.tenant_quota_burst = 32.0;
   auto stormed = MakeClusterEngine(EngineKind::kSimulated, env_->graph(),
                                    env_->MakeClusterConfig(storm_opts),
                                    env_->MakeStrategy(storm_opts));

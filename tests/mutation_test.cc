@@ -283,26 +283,26 @@ TEST_P(MutationStorm, ThreadedMatchesSimExactlyOnceUnderConcurrentChurn) {
 
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kEmbed;
-  opts.processors = 3;
-  opts.storage_servers = 4;
+  opts.cluster.num_processors = 3;
+  opts.cluster.num_storage_servers = 4;
   opts.num_landmarks = 12;
   opts.min_separation = 2;
   opts.dimensions = 4;
   // Small compressed cache + async window + repartitioning + replication:
   // mutations race every piece of machinery at once, and the versioned
   // cache staleness check is live on the compressed path.
-  opts.cache_bytes = 32 << 10;
-  opts.adjacency_encoding = AdjacencyEncoding::kDeltaVarint;
-  opts.cache_compressed = true;
-  opts.max_inflight_batches = 3;
-  opts.repartition_threshold = 1.1;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 4;
-  opts.replication_top_k = 2;
-  opts.gossip_period_us = 50.0;
-  opts.arrival_gap_us = 2.0;
-  opts.enable_mutations = true;
-  opts.index_refresh_period_us = 100.0;
+  opts.cluster.processor.cache_bytes = 32 << 10;
+  opts.cluster.adjacency_encoding = AdjacencyEncoding::kDeltaVarint;
+  opts.cluster.processor.cache_compressed = true;
+  opts.cluster.processor.max_inflight_batches = 3;
+  opts.cluster.repartition_threshold = 1.1;
+  opts.cluster.repartition_cap = 4;
+  opts.cluster.partitions_per_server = 4;
+  opts.cluster.replication_top_k = 2;
+  opts.cluster.gossip_period_us = 50.0;
+  opts.cluster.arrival_gap_us = 2.0;
+  opts.cluster.enable_mutations = true;
+  opts.cluster.index_refresh_period_us = 100.0;
   const ClusterConfig config = env_->MakeClusterConfig(opts);
 
   MutationScheduleConfig mc;
@@ -370,12 +370,12 @@ TEST_F(MutationEngineTest, MutationParityForEveryScheme) {
     SCOPED_TRACE(RoutingSchemeKindName(scheme));
     RunOptions opts;
     opts.scheme = scheme;
-    opts.processors = 3;
-    opts.storage_servers = 2;
+    opts.cluster.num_processors = 3;
+    opts.cluster.num_storage_servers = 2;
     opts.num_landmarks = 12;
     opts.min_separation = 2;
     opts.dimensions = 4;
-    opts.enable_mutations = true;
+    opts.cluster.enable_mutations = true;
     const ClusterConfig config = env_->MakeClusterConfig(opts);
 
     auto sim = MakeClusterEngine(EngineKind::kSimulated, g, config,
@@ -434,14 +434,14 @@ TEST_F(MutationEngineTest, QuiescedMaterialisationMatchesFullLoad) {
 
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kEmbed;
-  opts.processors = 3;
-  opts.storage_servers = 2;
+  opts.cluster.num_processors = 3;
+  opts.cluster.num_storage_servers = 2;
   opts.num_landmarks = 12;
   opts.min_separation = 2;
   opts.dimensions = 4;
 
   RunOptions mut_opts = opts;
-  mut_opts.enable_mutations = true;
+  mut_opts.cluster.enable_mutations = true;
   ClusterConfig mut_config = env_->MakeClusterConfig(mut_opts);
   mut_config.mutation_preload_keep = keep;
 

@@ -452,20 +452,20 @@ TEST(RepartitionEngineTest, ThreadedAsyncRunIsExactlyOnceUnderMigrations) {
 
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kHash;
-  opts.processors = 3;
-  opts.storage_servers = 4;
-  opts.cache_bytes = 64 << 10;  // small: keeps storage traffic (and the
+  opts.cluster.num_processors = 3;
+  opts.cluster.num_storage_servers = 4;
+  opts.cluster.processor.cache_bytes = 64 << 10;  // small: keeps storage traffic (and the
                                 // monitor signal) alive all run
-  opts.max_inflight_batches = 4;
-  opts.repartition_threshold = 1.05;  // migrate at the slightest skew
-  opts.repartition_cap = 8;
-  opts.partitions_per_server = 8;
-  opts.gossip_period_us = 50.0;
-  opts.arrival_gap_us = 2.0;
+  opts.cluster.processor.max_inflight_batches = 4;
+  opts.cluster.repartition_threshold = 1.05;  // migrate at the slightest skew
+  opts.cluster.repartition_cap = 8;
+  opts.cluster.partitions_per_server = 8;
+  opts.cluster.gossip_period_us = 50.0;
+  opts.cluster.arrival_gap_us = 2.0;
 
   RunOptions ref_opts = opts;
-  ref_opts.repartition_threshold = 0.0;
-  ref_opts.max_inflight_batches = 1;
+  ref_opts.cluster.repartition_threshold = 0.0;
+  ref_opts.cluster.processor.max_inflight_batches = 1;
 
   const Graph& g = env.graph();
   auto threaded = MakeClusterEngine(EngineKind::kThreaded, g,
@@ -513,19 +513,19 @@ TEST(RepartitionEngineTest, SimRepartitioningLowersStorageImbalanceUnderSkew) {
 
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kEmbed;
-  opts.processors = 3;
-  opts.storage_servers = 4;
+  opts.cluster.num_processors = 3;
+  opts.cluster.num_storage_servers = 4;
   opts.num_landmarks = 16;
   opts.min_separation = 2;
   opts.dimensions = 6;
-  opts.cache_bytes = 64 << 10;
-  opts.gossip_period_us = 100.0;
-  opts.arrival_gap_us = 5.0;
+  opts.cluster.processor.cache_bytes = 64 << 10;
+  opts.cluster.gossip_period_us = 100.0;
+  opts.cluster.arrival_gap_us = 5.0;
 
   RunOptions on = opts;
-  on.repartition_threshold = 1.15;
-  on.repartition_cap = 4;
-  on.partitions_per_server = 8;
+  on.cluster.repartition_threshold = 1.15;
+  on.cluster.repartition_cap = 4;
+  on.cluster.partitions_per_server = 8;
 
   const ClusterMetrics off_m = env.Run(EngineKind::kSimulated, opts, queries);
   const ClusterMetrics on_m = env.Run(EngineKind::kSimulated, on, queries);

@@ -577,23 +577,23 @@ TEST(ReplicationEngineTest, ThreadedAsyncRunIsExactlyOnceUnderReplication) {
 
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kHash;
-  opts.processors = 3;
-  opts.storage_servers = 4;
-  opts.cache_bytes = 64 << 10;
-  opts.max_inflight_batches = 4;
-  opts.repartition_threshold = 1.05;
-  opts.repartition_cap = 8;
-  opts.partitions_per_server = 8;
-  opts.replication_top_k = 4;
-  opts.replica_demote_threshold = 0.4;  // churn: demotions fire mid-run too
-  opts.max_replicas_per_partition = 2;
-  opts.gossip_period_us = 50.0;
-  opts.arrival_gap_us = 2.0;
+  opts.cluster.num_processors = 3;
+  opts.cluster.num_storage_servers = 4;
+  opts.cluster.processor.cache_bytes = 64 << 10;
+  opts.cluster.processor.max_inflight_batches = 4;
+  opts.cluster.repartition_threshold = 1.05;
+  opts.cluster.repartition_cap = 8;
+  opts.cluster.partitions_per_server = 8;
+  opts.cluster.replication_top_k = 4;
+  opts.cluster.replica_demote_threshold = 0.4;  // churn: demotions fire mid-run too
+  opts.cluster.max_replicas_per_partition = 2;
+  opts.cluster.gossip_period_us = 50.0;
+  opts.cluster.arrival_gap_us = 2.0;
 
   RunOptions ref_opts = opts;
-  ref_opts.repartition_threshold = 0.0;
-  ref_opts.replication_top_k = 0;
-  ref_opts.max_inflight_batches = 1;
+  ref_opts.cluster.repartition_threshold = 0.0;
+  ref_opts.cluster.replication_top_k = 0;
+  ref_opts.cluster.processor.max_inflight_batches = 1;
 
   const Graph& g = env.graph();
   auto threaded = MakeClusterEngine(EngineKind::kThreaded, g,
@@ -644,19 +644,19 @@ TEST(ReplicationEngineTest, SimReplicationBeatsMigrationOnlyAtHighSkew) {
 
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kNoCache;
-  opts.processors = 8;
-  opts.storage_servers = 4;
-  opts.max_inflight_batches = 2;
-  opts.repartition_threshold = 1.15;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 8;
-  opts.gossip_period_us = 100.0;
-  opts.arrival_gap_us = 0.5;
+  opts.cluster.num_processors = 8;
+  opts.cluster.num_storage_servers = 4;
+  opts.cluster.processor.max_inflight_batches = 2;
+  opts.cluster.repartition_threshold = 1.15;
+  opts.cluster.repartition_cap = 4;
+  opts.cluster.partitions_per_server = 8;
+  opts.cluster.gossip_period_us = 100.0;
+  opts.cluster.arrival_gap_us = 0.5;
 
   RunOptions rep = opts;
-  rep.replication_top_k = 4;
-  rep.max_replicas_per_partition = 3;
-  rep.replica_demote_threshold = 0.05;
+  rep.cluster.replication_top_k = 4;
+  rep.cluster.max_replicas_per_partition = 3;
+  rep.cluster.replica_demote_threshold = 0.05;
 
   const ClusterMetrics mig_m = env.Run(EngineKind::kSimulated, opts, queries);
   const ClusterMetrics rep_m = env.Run(EngineKind::kSimulated, rep, queries);
@@ -679,19 +679,19 @@ TEST(ReplicationEngineTest, ThreadedReplicationLowersImbalanceAtHighSkew) {
 
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kNoCache;
-  opts.processors = 8;
-  opts.storage_servers = 4;
-  opts.max_inflight_batches = 2;
-  opts.repartition_threshold = 1.15;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 8;
-  opts.gossip_period_us = 100.0;
-  opts.arrival_gap_us = 0.5;
+  opts.cluster.num_processors = 8;
+  opts.cluster.num_storage_servers = 4;
+  opts.cluster.processor.max_inflight_batches = 2;
+  opts.cluster.repartition_threshold = 1.15;
+  opts.cluster.repartition_cap = 4;
+  opts.cluster.partitions_per_server = 8;
+  opts.cluster.gossip_period_us = 100.0;
+  opts.cluster.arrival_gap_us = 0.5;
 
   RunOptions rep = opts;
-  rep.replication_top_k = 4;
-  rep.max_replicas_per_partition = 3;
-  rep.replica_demote_threshold = 0.05;
+  rep.cluster.replication_top_k = 4;
+  rep.cluster.max_replicas_per_partition = 3;
+  rep.cluster.replica_demote_threshold = 0.05;
 
   const ClusterMetrics mig_m = env.Run(EngineKind::kThreaded, opts, queries);
   const ClusterMetrics rep_m = env.Run(EngineKind::kThreaded, rep, queries);
@@ -713,16 +713,16 @@ TEST(ReplicationEngineTest, SimReplicationIsInertWithoutSkew) {
 
   RunOptions opts;
   opts.scheme = RoutingSchemeKind::kHash;
-  opts.processors = 3;
-  opts.storage_servers = 4;
-  opts.cache_bytes = 64 << 10;
-  opts.repartition_threshold = 1.5;
-  opts.partitions_per_server = 8;
-  opts.gossip_period_us = 100.0;
-  opts.arrival_gap_us = 5.0;
+  opts.cluster.num_processors = 3;
+  opts.cluster.num_storage_servers = 4;
+  opts.cluster.processor.cache_bytes = 64 << 10;
+  opts.cluster.repartition_threshold = 1.5;
+  opts.cluster.partitions_per_server = 8;
+  opts.cluster.gossip_period_us = 100.0;
+  opts.cluster.arrival_gap_us = 5.0;
 
   RunOptions rep = opts;
-  rep.replication_top_k = 2;
+  rep.cluster.replication_top_k = 2;
 
   const ClusterMetrics mig_m = env.Run(EngineKind::kSimulated, opts, queries);
   const ClusterMetrics rep_m = env.Run(EngineKind::kSimulated, rep, queries);

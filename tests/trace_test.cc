@@ -42,8 +42,8 @@ class TraceTest : public ::testing::Test {
   static RunOptions SmallRun(RoutingSchemeKind scheme) {
     RunOptions opts;
     opts.scheme = scheme;
-    opts.processors = 3;
-    opts.storage_servers = 2;
+    opts.cluster.num_processors = 3;
+    opts.cluster.num_storage_servers = 2;
     opts.num_landmarks = 24;
     opts.min_separation = 2;
     opts.dimensions = 6;
@@ -80,7 +80,7 @@ TEST_F(TraceTest, SimTracingOnIsMetricIdenticalToTracingOff) {
   const ClusterMetrics m_off = off->Run(queries);
   EXPECT_EQ(off->tracer(), nullptr);
 
-  opts.trace_sample_every_n = 1;
+  opts.cluster.trace_sample_every_n = 1;
   auto on = Build(EngineKind::kSimulated, opts);
   const ClusterMetrics m_on = on->Run(queries);
   ASSERT_NE(on->tracer(), nullptr);
@@ -127,22 +127,22 @@ TEST_F(TraceTest, SimTracingStaysMetricIdenticalWithReplicationEnabled) {
   const auto queries = env_->SkewedWorkload(/*sessions=*/6, /*queries=*/400,
                                             /*zipf_s=*/1.5, /*h=*/1);
   RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed);
-  opts.storage_servers = 4;
-  opts.cache_bytes = 8 << 10;
-  opts.repartition_threshold = 1.1;
-  opts.repartition_cap = 4;
-  opts.partitions_per_server = 8;
-  opts.replication_top_k = 4;
-  opts.max_replicas_per_partition = 3;
-  opts.replica_demote_threshold = 0.05;
-  opts.gossip_period_us = 50.0;
-  opts.arrival_gap_us = 1.0;
+  opts.cluster.num_storage_servers = 4;
+  opts.cluster.processor.cache_bytes = 8 << 10;
+  opts.cluster.repartition_threshold = 1.1;
+  opts.cluster.repartition_cap = 4;
+  opts.cluster.partitions_per_server = 8;
+  opts.cluster.replication_top_k = 4;
+  opts.cluster.max_replicas_per_partition = 3;
+  opts.cluster.replica_demote_threshold = 0.05;
+  opts.cluster.gossip_period_us = 50.0;
+  opts.cluster.arrival_gap_us = 1.0;
 
   auto off = Build(EngineKind::kSimulated, opts);
   const ClusterMetrics m_off = off->Run(queries);
   EXPECT_GT(m_off.partitions_replicated, 0u);
 
-  opts.trace_sample_every_n = 1;
+  opts.cluster.trace_sample_every_n = 1;
   auto on = Build(EngineKind::kSimulated, opts);
   const ClusterMetrics m_on = on->Run(queries);
   ASSERT_NE(on->tracer(), nullptr);
@@ -181,7 +181,7 @@ TEST_F(TraceTest, SimTracingStaysMetricIdenticalWithReplicationEnabled) {
 TEST_F(TraceTest, SimSpansAreWellFormed) {
   const auto queries = env_->HotspotWorkload(2, 2, 20, 4);
   RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed);
-  opts.trace_sample_every_n = 1;
+  opts.cluster.trace_sample_every_n = 1;
 
   auto sim = Build(EngineKind::kSimulated, opts);
   const ClusterMetrics m = sim->Run(queries);
@@ -238,7 +238,7 @@ TEST_F(TraceTest, SimSpansAreWellFormed) {
 TEST_F(TraceTest, SamplingIsDeterministicAcrossEngines) {
   const auto queries = env_->HotspotWorkload(2, 2, 20, 4);
   RunOptions opts = SmallRun(RoutingSchemeKind::kHash);
-  opts.trace_sample_every_n = 4;
+  opts.cluster.trace_sample_every_n = 4;
 
   std::set<uint64_t> sampled[2];
   int i = 0;
@@ -265,7 +265,7 @@ TEST_F(TraceTest, ThreadedTracingPreservesAnswersAndCounts) {
   auto off = Build(EngineKind::kThreaded, opts);
   const ClusterMetrics m_off = off->Run(queries);
 
-  opts.trace_sample_every_n = 1;
+  opts.cluster.trace_sample_every_n = 1;
   auto on = Build(EngineKind::kThreaded, opts);
   const ClusterMetrics m_on = on->Run(queries);
   ASSERT_NE(on->tracer(), nullptr);
@@ -305,10 +305,10 @@ TEST_F(TraceTest, CrossEngineSpanStructureMatchesOnSequentialCluster) {
   // spans (stall/decode/compute/ship) are engine-specific and excluded.
   const auto queries = env_->HotspotWorkload(2, 2, 10, 3);
   RunOptions opts = SmallRun(RoutingSchemeKind::kHash);
-  opts.processors = 1;
-  opts.router_shards = 1;
-  opts.stealing = false;
-  opts.trace_sample_every_n = 1;
+  opts.cluster.num_processors = 1;
+  opts.cluster.num_router_shards = 1;
+  opts.cluster.enable_stealing = false;
+  opts.cluster.trace_sample_every_n = 1;
 
   constexpr TraceEventType kStructural[] = {
       TraceEventType::kArrival, TraceEventType::kRouted,
@@ -337,8 +337,8 @@ TEST_F(TraceTest, CrossEngineSpanStructureMatchesOnSequentialCluster) {
 TEST_F(TraceTest, FullRingsDropAndCountInsteadOfGrowing) {
   const auto queries = env_->HotspotWorkload(2, 2, 20, 4);
   RunOptions opts = SmallRun(RoutingSchemeKind::kEmbed);
-  opts.trace_sample_every_n = 1;
-  opts.trace_buffer_capacity = 8;
+  opts.cluster.trace_sample_every_n = 1;
+  opts.cluster.trace_buffer_capacity = 8;
 
   auto sim = Build(EngineKind::kSimulated, opts);
   const ClusterMetrics m = sim->Run(queries);
@@ -357,7 +357,7 @@ TEST_F(TraceTest, ExportTraceWritesChromeJson) {
   off->Run(queries);
   EXPECT_FALSE(off->ExportTrace(::testing::TempDir() + "/no_trace.json"));
 
-  opts.trace_sample_every_n = 1;
+  opts.cluster.trace_sample_every_n = 1;
   auto sim = Build(EngineKind::kSimulated, opts);
   sim->Run(queries);
   const std::string path = ::testing::TempDir() + "/trace_test_export.json";

@@ -370,9 +370,17 @@ TEST(ParseByteSizeTest, Units) {
 }
 
 TEST(ParseByteSizeTest, Malformed) {
-  EXPECT_EQ(ParseByteSize(""), 0u);
-  EXPECT_EQ(ParseByteSize("abc"), 0u);
-  EXPECT_EQ(ParseByteSize("12XB"), 0u);
+  EXPECT_EQ(ParseByteSize(""), std::nullopt);
+  EXPECT_EQ(ParseByteSize("abc"), std::nullopt);
+  EXPECT_EQ(ParseByteSize("12XB"), std::nullopt);
+  EXPECT_EQ(ParseByteSize("-1MB"), std::nullopt);
+  EXPECT_EQ(ParseByteSize("99999999999999999999"), std::nullopt);
+  EXPECT_EQ(ParseByteSize("17179869184GB"), std::nullopt);
+}
+
+TEST(ParseByteSizeTest, ZeroIsWellFormed) {
+  EXPECT_EQ(ParseByteSize("0"), 0u);
+  EXPECT_EQ(ParseByteSize("0MB"), 0u);
 }
 
 // ---------------------------------------------------------- MpmcQueue ----
