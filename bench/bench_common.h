@@ -5,7 +5,8 @@
 //     scale (override with GROUTING_BENCH_SCALE, default 0.5),
 //   * runs its cluster configurations on the engine selected by
 //     GROUTING_BENCH_ENGINE (sim | threaded, default sim) — the same sweep
-//     re-runs on real threads with one flag,
+//     re-runs on real threads with one flag; a malformed value of either
+//     variable ends the run with a diagnostic and exit status 1,
 //   * registers one google-benchmark per configuration point, carrying the
 //     paper's metrics (throughput, response time, cache hit rate) as
 //     counters — wall time of a benchmark iteration is the simulation's
@@ -20,10 +21,13 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <initializer_list>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/grouting.h"
@@ -32,26 +36,40 @@
 namespace grouting {
 namespace bench {
 
+// Exits with a diagnostic: a misspelt GROUTING_BENCH_* value must not
+// silently run a different sweep than the one asked for.
+[[noreturn]] inline void BadBenchEnv(const char* var, const char* value,
+                                     const char* expected) {
+  std::fprintf(stderr, "%s=%s: expected %s\n", var, value, expected);
+  std::exit(1);
+}
+
+// GROUTING_BENCH_SCALE: a positive number (default 0.5).
 inline double BenchScale() {
-  if (const char* s = std::getenv("GROUTING_BENCH_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0.0) {
-      return v;
-    }
+  const char* s = std::getenv("GROUTING_BENCH_SCALE");
+  if (s == nullptr) {
+    return 0.5;
   }
-  return 0.5;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !(v > 0.0) || !std::isfinite(v)) {
+    BadBenchEnv("GROUTING_BENCH_SCALE", s, "a positive number");
+  }
+  return v;
 }
 
 // Which ClusterEngine the bench sweeps run on: GROUTING_BENCH_ENGINE=threaded
-// reruns every figure on real threads; anything else (or unset) keeps the
+// reruns every figure on real threads; unset, sim or simulated keeps the
 // paper's deterministic discrete-event simulation.
 inline EngineKind BenchEngine() {
-  if (const char* s = std::getenv("GROUTING_BENCH_ENGINE")) {
-    if (std::string(s) == "threaded") {
-      return EngineKind::kThreaded;
-    }
+  const char* s = std::getenv("GROUTING_BENCH_ENGINE");
+  if (s == nullptr || std::strcmp(s, "sim") == 0 || std::strcmp(s, "simulated") == 0) {
+    return EngineKind::kSimulated;
   }
-  return EngineKind::kSimulated;
+  if (std::strcmp(s, "threaded") != 0) {
+    BadBenchEnv("GROUTING_BENCH_ENGINE", s, "sim, simulated or threaded");
+  }
+  return EngineKind::kThreaded;
 }
 
 // Paper-shaped hotspot count scaled to the bench size: the figure benches
@@ -71,22 +89,6 @@ inline const std::vector<RoutingSchemeKind>& AllSchemes() {
       RoutingSchemeKind::kHash, RoutingSchemeKind::kLandmark,
       RoutingSchemeKind::kEmbed};
   return kSchemes;
-}
-
-inline void SetCounters(benchmark::State& state, const ClusterMetrics& m) {
-  state.counters["throughput_qps"] = m.throughput_qps;
-  state.counters["response_ms"] = m.mean_response_ms;
-  state.counters["p50_response_ms"] = m.p50_response_ms;
-  state.counters["p95_response_ms"] = m.p95_response_ms;
-  state.counters["p99_response_ms"] = m.p99_response_ms;
-  state.counters["p999_response_ms"] = m.p999_response_ms;
-  state.counters["hit_rate_pct"] = 100.0 * m.CacheHitRate();
-  state.counters["cache_hits"] = static_cast<double>(m.cache_hits);
-  state.counters["cache_misses"] = static_cast<double>(m.cache_misses);
-  state.counters["steals"] = static_cast<double>(m.steals);
-  state.counters["compression_ratio"] = m.adjacency_compression_ratio;
-  state.counters["cache_entries"] = static_cast<double>(m.cache_entries);
-  state.counters["decompress_us"] = m.decompress_us;
 }
 
 // One collected row for the post-run summary table.
@@ -170,6 +172,26 @@ inline double MaxTenantPercentile(const ClusterMetrics& m, bool p999) {
   return worst;
 }
 
+// Every value a bench reports for a run, as f("key", value): each scalar
+// ClusterMetrics field under its own name (ForEachMetric), then the derived
+// hit_rate, tenants, shed_rate and worst per-tenant tails. The counters and
+// the BENCH_<name>.json rows both read this one list.
+template <typename F>
+void ForEachBenchValue(const ClusterMetrics& m, F&& f) {
+  ForEachScalarMetric(m, f);
+  f("hit_rate", m.CacheHitRate());
+  f("tenants", static_cast<uint32_t>(std::max<size_t>(1, m.per_tenant.size())));
+  f("shed_rate", ShedRateOf(m));
+  f("max_tenant_p99_ms", MaxTenantPercentile(m, /*p999=*/false));
+  f("max_tenant_p999_ms", MaxTenantPercentile(m, /*p999=*/true));
+}
+
+inline void SetCounters(benchmark::State& state, const ClusterMetrics& m) {
+  ForEachBenchValue(m, [&](const char* key, auto v) {
+    state.counters[key] = static_cast<double>(v);
+  });
+}
+
 // One named group of result rows (a bench's summary tables map 1:1).
 struct JsonGroup {
   const char* group;
@@ -193,48 +215,16 @@ inline void WriteBenchJson(const std::string& name,
   bool first = true;
   for (const JsonGroup& g : groups) {
     for (const ResultRow& row : *g.rows) {
-      const ClusterMetrics& m = row.metrics;
-      std::fprintf(f, "%s\n    {\"group\": \"%s\", \"label\": \"%s\", ", first ? "" : ",",
+      std::fprintf(f, "%s\n    {\"group\": \"%s\", \"label\": \"%s\"", first ? "" : ",",
                    JsonEscape(g.group).c_str(), JsonEscape(row.label).c_str());
-      std::fprintf(f,
-                   "\"throughput_qps\": %.6g, \"mean_response_ms\": %.6g, "
-                   "\"p50_response_ms\": %.6g, \"p95_response_ms\": %.6g, "
-                   "\"p99_response_ms\": %.6g, \"p999_response_ms\": %.6g, "
-                   "\"hit_rate\": %.6g, "
-                   "\"cache_hits\": %llu, \"cache_misses\": %llu, "
-                   "\"storage_batches\": %llu, \"steals\": %llu, "
-                   "\"batches_inflight_peak\": %u, \"fetch_overlap_us\": %.6g, "
-                   "\"storage_load_imbalance\": %.6g, \"partitions_migrated\": %llu, "
-                   "\"repartition_stall_us\": %.6g, "
-                   "\"partitions_replicated\": %llu, \"replica_reads\": %llu, "
-                   "\"replica_demotions\": %llu, "
-                   "\"adjacency_compression_ratio\": %.6g, \"cache_entries\": %llu, "
-                   "\"decompress_us\": %.6g, \"bytes_from_storage\": %llu, "
-                   "\"tenants\": %u, \"queries_shed\": %llu, \"shed_rate\": %.6g, "
-                   "\"max_tenant_p99_ms\": %.6g, \"max_tenant_p999_ms\": %.6g, "
-                   "\"mutations_applied\": %llu, \"index_refreshes\": %llu, "
-                   "\"stale_distance_error\": %.6g}",
-                   m.throughput_qps, m.mean_response_ms, m.p50_response_ms,
-                   m.p95_response_ms, m.p99_response_ms, m.p999_response_ms,
-                   m.CacheHitRate(), static_cast<unsigned long long>(m.cache_hits),
-                   static_cast<unsigned long long>(m.cache_misses),
-                   static_cast<unsigned long long>(m.storage_batches),
-                   static_cast<unsigned long long>(m.steals), m.batches_inflight_peak,
-                   m.fetch_overlap_us, m.storage_load_imbalance,
-                   static_cast<unsigned long long>(m.partitions_migrated),
-                   m.repartition_stall_us,
-                   static_cast<unsigned long long>(m.partitions_replicated),
-                   static_cast<unsigned long long>(m.replica_reads),
-                   static_cast<unsigned long long>(m.replica_demotions),
-                   m.adjacency_compression_ratio,
-                   static_cast<unsigned long long>(m.cache_entries), m.decompress_us,
-                   static_cast<unsigned long long>(m.bytes_from_storage),
-                   static_cast<unsigned>(std::max<size_t>(1, m.per_tenant.size())),
-                   static_cast<unsigned long long>(m.queries_shed), ShedRateOf(m),
-                   MaxTenantPercentile(m, false), MaxTenantPercentile(m, true),
-                   static_cast<unsigned long long>(m.mutations_applied),
-                   static_cast<unsigned long long>(m.index_refreshes),
-                   m.stale_distance_error);
+      ForEachBenchValue(row.metrics, [&](const char* key, auto v) {
+        if constexpr (std::is_integral_v<decltype(v)>) {
+          std::fprintf(f, ", \"%s\": %llu", key, static_cast<unsigned long long>(v));
+        } else {
+          std::fprintf(f, ", \"%s\": %.6g", key, v);
+        }
+      });
+      std::fputc('}', f);
       first = false;
     }
   }

@@ -137,8 +137,6 @@ void BM_Fig10(benchmark::State& state) {
     m = RunWithPreprocessedFraction(scheme, fraction);
   }
   SetCounters(state, m);
-  state.counters["mutations_applied"] = static_cast<double>(m.mutations_applied);
-  state.counters["index_refreshes"] = static_cast<double>(m.index_refreshes);
   char label[96];
   std::snprintf(label, sizeof(label), "%s preprocessed=%d%%",
                 RoutingSchemeKindName(scheme).c_str(), static_cast<int>(state.range(1)));

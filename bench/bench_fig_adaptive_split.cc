@@ -82,8 +82,6 @@ void BM_AdaptiveSplit_SkewXSplitter(benchmark::State& state) {
     m = Env().Run(BenchEngine(), opts, queries);
   }
   SetCounters(state, m);
-  state.counters["load_imbalance"] = m.router_load_imbalance;
-  state.counters["sessions_migrated"] = static_cast<double>(m.sessions_migrated);
   // Labels are parameter-only: they are the regression gate's join key, so
   // measured values (imbalance, migrations) stay in the counters above.
   SkewRows().push_back({SplitterKindName(splitter) + " zipf=" + Pct(zipf_s), m});
@@ -100,8 +98,6 @@ void BM_AdaptiveSplit_Threshold(benchmark::State& state) {
     m = Env().Run(BenchEngine(), opts, queries);
   }
   SetCounters(state, m);
-  state.counters["load_imbalance"] = m.router_load_imbalance;
-  state.counters["sessions_migrated"] = static_cast<double>(m.sessions_migrated);
   ThresholdRows().push_back(
       {"adaptive thr=" + (threshold > 1.0 ? Pct(threshold) : std::string("off")), m});
 }
@@ -125,7 +121,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   grouting::bench::PrintMetricsTable(
       "Adaptive re-splitting: splitter kind x session skew (4 router shards, "
-      "embed; load_imbalance + sessions_migrated in the benchmark counters)",
+      "embed; router_load_imbalance + sessions_migrated in the benchmark counters)",
       grouting::bench::SkewRows());
   grouting::bench::PrintPaperShape(
       "hash/sticky splitters stay imbalanced as Zipf skew grows (hot sessions "

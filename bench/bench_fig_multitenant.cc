@@ -83,8 +83,6 @@ void BM_Multitenant_TenantsXSkew(benchmark::State& state) {
     m = Env().Run(BenchEngine(), opts, queries);
   }
   SetCounters(state, m);
-  state.counters["queries_shed"] = static_cast<double>(m.queries_shed);
-  state.counters["max_tenant_p99_ms"] = MaxTenantPercentile(m, /*p999=*/false);
   // Labels are parameter-only: they are the regression gate's join key.
   TenantRows().push_back(
       {"tenants=" + std::to_string(tenants) + " skew=" + Pct(skew), m});
@@ -100,9 +98,6 @@ void BM_Multitenant_Quota(benchmark::State& state) {
     m = Env().Run(BenchEngine(), opts, queries);
   }
   SetCounters(state, m);
-  state.counters["queries_shed"] = static_cast<double>(m.queries_shed);
-  state.counters["shed_rate"] = ShedRateOf(m);
-  state.counters["max_tenant_p99_ms"] = MaxTenantPercentile(m, /*p999=*/false);
   QuotaRows().push_back({quota_on ? "quota=on" : "quota=off", m});
 }
 

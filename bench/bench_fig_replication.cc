@@ -75,16 +75,6 @@ RunOptions ReplicationOpts(double threshold, uint32_t top_k) {
 
 std::string Num2(double v) { return Table::Num(v, 2); }
 
-void ReplicationCounters(benchmark::State& state, const ClusterMetrics& m) {
-  state.counters["storage_load_imbalance"] = m.storage_load_imbalance;
-  state.counters["partitions_migrated"] = static_cast<double>(m.partitions_migrated);
-  state.counters["partitions_replicated"] =
-      static_cast<double>(m.partitions_replicated);
-  state.counters["replica_reads"] = static_cast<double>(m.replica_reads);
-  state.counters["replica_demotions"] = static_cast<double>(m.replica_demotions);
-  state.counters["repartition_stall_us"] = m.repartition_stall_us;
-}
-
 // mode: 0 = static placement, 1 = migration-only, 2 = migration+replication.
 void BM_Replication_SkewXMode(benchmark::State& state) {
   static const double kSkews[] = {1.0, 1.4, 1.8};
@@ -99,7 +89,6 @@ void BM_Replication_SkewXMode(benchmark::State& state) {
     m = Env().Run(BenchEngine(), opts, queries);
   }
   SetCounters(state, m);
-  ReplicationCounters(state, m);
   // Labels are parameter-only: they are the regression gate's join key, so
   // measured values (imbalance, replica counts) stay in the counters above.
   static const char* kModes[] = {"static", "migration", "migration+replication"};
@@ -118,7 +107,6 @@ void BM_Replication_TopK(benchmark::State& state) {
     m = Env().Run(BenchEngine(), opts, queries);
   }
   SetCounters(state, m);
-  ReplicationCounters(state, m);
   TopKRows().push_back(
       {"replication top_k=" + std::to_string(top_k) +
            (top_k == 0 ? std::string(" (off)") : std::string()),

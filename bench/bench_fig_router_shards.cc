@@ -46,8 +46,6 @@ void BM_RouterShards_Scheme(benchmark::State& state) {
     m = Env().Run(BenchEngine(), opts);
   }
   SetCounters(state, m);
-  state.counters["gossip_rounds"] = static_cast<double>(m.gossip_rounds);
-  state.counters["ema_divergence"] = m.router_ema_divergence;
   ShardRows().push_back(
       {RoutingSchemeKindName(scheme) + " S=" + std::to_string(shards), m});
 }
@@ -72,8 +70,6 @@ void BM_RouterShards_SplitterGossip(benchmark::State& state) {
     m = Env().Run(BenchEngine(), opts);
   }
   SetCounters(state, m);
-  state.counters["gossip_rounds"] = static_cast<double>(m.gossip_rounds);
-  state.counters["ema_divergence"] = m.router_ema_divergence;
   GossipRows().push_back({"embed S=4 " + SplitterKindName(splitter) +
                               (gossip ? " +gossip" : " -gossip"),
                           m});

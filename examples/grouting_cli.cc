@@ -1,12 +1,13 @@
 // gRouting experiment CLI: run any cluster configuration from the command
 // line without writing code.
 //
-//   ./grouting_cli --dataset=webgraph --scale=0.3 --scheme=embed \
-//                  --engine=sim --processors=7 --storage=4 --cache=16MB \
-//                  --radius=2 --hops=2 --hotspots=100 --per-hotspot=10 \
+//   ./grouting_cli --dataset=webgraph --scale=0.3 --scheme=embed
+//                  --engine=sim --processors=7 --storage=4 --cache=16MB
+//                  --radius=2 --hops=2 --hotspots=100 --per-hotspot=10
 //                  --network=infiniband --load-factor=20 --alpha=0.5
 //
-// Prints the run's metrics as a table. `--help` lists everything.
+// Prints every scalar ClusterMetrics field as a table, by field name.
+// `--help` lists everything.
 
 #include <charconv>
 #include <cstdio>
@@ -471,90 +472,30 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Run identity, then every scalar metric under its ClusterMetrics field
+  // name (the names carry the units) and the cache hit rate, then the
+  // per-tenant slice.
   Table t({"metric", "value"});
   t.AddRow({"engine", EngineKindName(engine)});
-  t.AddRow({"queries", Table::Int(static_cast<int64_t>(m.queries))});
-  t.AddRow({"throughput", Table::Num(m.throughput_qps, 1) + " q/s"});
-  t.AddRow({"mean response", Table::Num(m.mean_response_ms, 3) + " ms"});
-  t.AddRow({"p50 response", Table::Num(m.p50_response_ms, 3) + " ms"});
-  t.AddRow({"p95 response", Table::Num(m.p95_response_ms, 3) + " ms"});
-  t.AddRow({"p99 response", Table::Num(m.p99_response_ms, 3) + " ms"});
-  t.AddRow({"p99.9 response", Table::Num(m.p999_response_ms, 3) + " ms"});
-  t.AddRow({"mean queue wait", Table::Num(m.mean_queue_wait_ms, 3) + " ms"});
-  t.AddRow({"cache hit rate", Table::Num(100.0 * m.CacheHitRate(), 1) + " %"});
-  t.AddRow({"cache hits / misses", Table::Int(static_cast<int64_t>(m.cache_hits)) + " / " +
-                                       Table::Int(static_cast<int64_t>(m.cache_misses))});
-  t.AddRow({"bytes from storage", Table::Bytes(m.bytes_from_storage)});
-  t.AddRow({"storage batches", Table::Int(static_cast<int64_t>(m.storage_batches))});
-  if (config.adjacency_encoding != AdjacencyEncoding::kRaw ||
-      config.processor.cache_compressed) {
-    t.AddRow({"adjacency encoding",
-              AdjacencyEncodingName(config.adjacency_encoding) +
-                  (config.processor.cache_compressed ? " (compressed cache)" : "")});
-    t.AddRow({"compression ratio", Table::Num(m.adjacency_compression_ratio, 2) + "x"});
-    t.AddRow({"cache entries", Table::Int(static_cast<int64_t>(m.cache_entries))});
-    t.AddRow({"decompress time", Table::Num(m.decompress_us / 1000.0, 3) + " ms"});
-  }
-  t.AddRow({"storage load imbalance",
-            Table::Num(m.storage_load_imbalance, 2) + " max/min"});
-  t.AddRow({"steals", Table::Int(static_cast<int64_t>(m.steals))});
-  const RepartitionConfig repartition = config.MakeRepartitionConfig();
-  if (repartition.active()) {
-    t.AddRow({"partitions migrated",
-              Table::Int(static_cast<int64_t>(m.partitions_migrated))});
-    t.AddRow(
-        {"repartition stall", Table::Num(m.repartition_stall_us / 1000.0, 3) + " ms"});
-  }
-  if (repartition.replication_enabled()) {
-    t.AddRow({"partitions replicated",
-              Table::Int(static_cast<int64_t>(m.partitions_replicated))});
-    t.AddRow({"replica reads", Table::Int(static_cast<int64_t>(m.replica_reads))});
-    t.AddRow({"replica demotions",
-              Table::Int(static_cast<int64_t>(m.replica_demotions))});
-  }
-  if (config.processor.max_inflight_batches > 1) {
-    t.AddRow({"inflight batch peak",
-              Table::Int(static_cast<int64_t>(m.batches_inflight_peak))});
-    t.AddRow({"fetch overlap", Table::Num(m.fetch_overlap_us / 1000.0, 3) + " ms"});
-  }
-  if (config.trace_sample_every_n > 0) {
-    t.AddRow({"trace events", Table::Int(static_cast<int64_t>(m.trace_events_recorded)) +
-                                  " (" +
-                                  Table::Int(static_cast<int64_t>(m.trace_events_dropped)) +
-                                  " dropped)"});
-    t.AddRow({"trace ring high-water",
-              Table::Int(static_cast<int64_t>(m.trace_buffer_high_water))});
-  }
-  if (config.num_router_shards > 1) {
-    t.AddRow({"router shards",
-              Table::Int(static_cast<int64_t>(config.num_router_shards)) + " (" +
-                  SplitterKindName(config.router_splitter) + ")"});
-    t.AddRow({"gossip rounds", Table::Int(static_cast<int64_t>(m.gossip_rounds))});
-    t.AddRow({"ema divergence", Table::Num(m.router_ema_divergence, 4)});
-    t.AddRow({"load imbalance", Table::Num(m.router_load_imbalance, 2) + " max/min"});
-    t.AddRow({"sessions migrated",
-              Table::Int(static_cast<int64_t>(m.sessions_migrated))});
-    if (m.sticky_evictions > 0) {
-      t.AddRow({"session evictions",
-                Table::Int(static_cast<int64_t>(m.sticky_evictions))});
+  t.AddRow({"adjacency encoding",
+            AdjacencyEncodingName(config.adjacency_encoding) +
+                (config.processor.cache_compressed ? " (compressed cache)" : "")});
+  t.AddRow({"router shards", Table::Int(static_cast<int64_t>(config.num_router_shards)) +
+                                 " (" + SplitterKindName(config.router_splitter) + ")"});
+  t.AddRow({"tenants", Table::Int(static_cast<int64_t>(config.num_tenants))});
+  ForEachScalarMetric(m, [&](const char* name, auto v) {
+    if constexpr (std::is_integral_v<decltype(v)>) {
+      t.AddRow({name, Table::Int(static_cast<int64_t>(v))});
+    } else {
+      t.AddRow({name, Table::Num(v, 4)});
     }
-  }
-  if (config.enable_mutations) {
-    t.AddRow({"mutations applied",
-              Table::Int(static_cast<int64_t>(m.mutations_applied))});
-    t.AddRow({"index refreshes",
-              Table::Int(static_cast<int64_t>(m.index_refreshes))});
-    t.AddRow({"stale distance error", Table::Num(m.stale_distance_error, 4)});
-  }
-  if (config.num_tenants > 1 || config.tenant_quota_qps > 0.0) {
-    t.AddRow({"tenants", Table::Int(static_cast<int64_t>(config.num_tenants))});
-    t.AddRow({"queries shed", Table::Int(static_cast<int64_t>(m.queries_shed))});
-    for (const TenantMetrics& tm : m.per_tenant) {
-      t.AddRow({"tenant " + Table::Int(tm.tenant),
-                Table::Int(static_cast<int64_t>(tm.queries)) + " q / " +
-                    Table::Int(static_cast<int64_t>(tm.shed)) + " shed / p99 " +
-                    Table::Num(tm.p99_response_ms, 3) + " ms"});
-    }
+  });
+  t.AddRow({"hit_rate", Table::Num(m.CacheHitRate(), 4)});  // as in BENCH_*.json
+  for (const TenantMetrics& tm : m.per_tenant) {
+    t.AddRow({"tenant " + Table::Int(tm.tenant),
+              Table::Int(static_cast<int64_t>(tm.queries)) + " q / " +
+                  Table::Int(static_cast<int64_t>(tm.shed)) + " shed / p99 " +
+                  Table::Num(tm.p99_response_ms, 3) + " ms"});
   }
   std::printf("%s", t.ToString().c_str());
 

@@ -9,6 +9,35 @@
 
 namespace grouting {
 
+namespace {
+
+// Converts to any field type; only ever named in unevaluated brace-inits.
+struct AnyField {
+  template <typename T>
+  operator T() const;
+};
+
+// How many initializers T's aggregate initialization accepts: its field count.
+template <typename T, typename... Fields>
+constexpr size_t FieldCount() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return FieldCount<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+constexpr size_t ListedMetricCount() {
+  size_t n = 0;
+  ForEachMetric([&n](const char*, auto) { ++n; });
+  return n;
+}
+
+}  // namespace
+
+static_assert(ListedMetricCount() == FieldCount<ClusterMetrics>(),
+              "ForEachMetric must list every ClusterMetrics field");
+
 std::string EngineKindName(EngineKind kind) {
   switch (kind) {
     case EngineKind::kSimulated:

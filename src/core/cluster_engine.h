@@ -27,6 +27,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/frontend/splitter.h"
@@ -360,6 +361,69 @@ struct ClusterMetrics {
   }
   double WallSeconds() const { return makespan_us / 1e6; }
 };
+
+// The one list of ClusterMetrics fields, in declaration order: calls
+// f("name", &ClusterMetrics::name) once per field. The determinism and
+// passivity tests, the bench JSON and counters and the CLI table all read
+// the metrics through it, so adding a metric takes one line here — and a
+// static_assert in cluster_engine.cc fails the build until that line exists.
+template <typename F>
+constexpr void ForEachMetric(F&& f) {
+#define GROUTING_METRIC(field) f(#field, &ClusterMetrics::field)
+  GROUTING_METRIC(queries);
+  GROUTING_METRIC(makespan_us);
+  GROUTING_METRIC(throughput_qps);
+  GROUTING_METRIC(mean_response_ms);
+  GROUTING_METRIC(p50_response_ms);
+  GROUTING_METRIC(p95_response_ms);
+  GROUTING_METRIC(p99_response_ms);
+  GROUTING_METRIC(p999_response_ms);
+  GROUTING_METRIC(mean_queue_wait_ms);
+  GROUTING_METRIC(cache_hits);
+  GROUTING_METRIC(cache_misses);
+  GROUTING_METRIC(nodes_visited);
+  GROUTING_METRIC(bytes_from_storage);
+  GROUTING_METRIC(storage_batches);
+  GROUTING_METRIC(steals);
+  GROUTING_METRIC(queries_per_processor);
+  GROUTING_METRIC(queries_per_router_shard);
+  GROUTING_METRIC(gossip_rounds);
+  GROUTING_METRIC(router_ema_divergence);
+  GROUTING_METRIC(sessions_migrated);
+  GROUTING_METRIC(sticky_evictions);
+  GROUTING_METRIC(router_load_imbalance);
+  GROUTING_METRIC(batches_inflight_peak);
+  GROUTING_METRIC(fetch_overlap_us);
+  GROUTING_METRIC(partitions_migrated);
+  GROUTING_METRIC(storage_load_imbalance);
+  GROUTING_METRIC(repartition_stall_us);
+  GROUTING_METRIC(partitions_replicated);
+  GROUTING_METRIC(replica_reads);
+  GROUTING_METRIC(replica_demotions);
+  GROUTING_METRIC(adjacency_compression_ratio);
+  GROUTING_METRIC(cache_entries);
+  GROUTING_METRIC(decompress_us);
+  GROUTING_METRIC(trace_events_recorded);
+  GROUTING_METRIC(trace_events_dropped);
+  GROUTING_METRIC(trace_buffer_high_water);
+  GROUTING_METRIC(queries_shed);
+  GROUTING_METRIC(mutations_applied);
+  GROUTING_METRIC(index_refreshes);
+  GROUTING_METRIC(stale_distance_error);
+  GROUTING_METRIC(per_tenant);
+#undef GROUTING_METRIC
+}
+
+// The arithmetic fields of `m` (all but the per-processor, per-shard and
+// per-tenant vectors), as f("name", value) in declaration order.
+template <typename F>
+void ForEachScalarMetric(const ClusterMetrics& m, F&& f) {
+  ForEachMetric([&](const char* name, auto field) {
+    if constexpr (std::is_arithmetic_v<std::remove_cvref_t<decltype(m.*field)>>) {
+      f(name, m.*field);
+    }
+  });
+}
 
 // One answered query, in completion order. `processor` is the processor
 // that executed it (post-stealing).

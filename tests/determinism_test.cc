@@ -27,47 +27,8 @@ constexpr uint64_t kSeeds[] = {1, 7, 23, 31, 4242};
 // purpose: determinism means the same float ops in the same order, so even
 // the last ulp must match.
 void ExpectMetricsIdentical(const ClusterMetrics& a, const ClusterMetrics& b) {
-  EXPECT_EQ(a.queries, b.queries);
-  EXPECT_EQ(a.makespan_us, b.makespan_us);
-  EXPECT_EQ(a.throughput_qps, b.throughput_qps);
-  EXPECT_EQ(a.mean_response_ms, b.mean_response_ms);
-  EXPECT_EQ(a.p50_response_ms, b.p50_response_ms);
-  EXPECT_EQ(a.p95_response_ms, b.p95_response_ms);
-  EXPECT_EQ(a.p99_response_ms, b.p99_response_ms);
-  EXPECT_EQ(a.p999_response_ms, b.p999_response_ms);
-  EXPECT_EQ(a.mean_queue_wait_ms, b.mean_queue_wait_ms);
-  EXPECT_EQ(a.cache_hits, b.cache_hits);
-  EXPECT_EQ(a.cache_misses, b.cache_misses);
-  EXPECT_EQ(a.nodes_visited, b.nodes_visited);
-  EXPECT_EQ(a.bytes_from_storage, b.bytes_from_storage);
-  EXPECT_EQ(a.storage_batches, b.storage_batches);
-  EXPECT_EQ(a.steals, b.steals);
-  EXPECT_EQ(a.queries_per_processor, b.queries_per_processor);
-  EXPECT_EQ(a.queries_per_router_shard, b.queries_per_router_shard);
-  EXPECT_EQ(a.gossip_rounds, b.gossip_rounds);
-  EXPECT_EQ(a.router_ema_divergence, b.router_ema_divergence);
-  EXPECT_EQ(a.sessions_migrated, b.sessions_migrated);
-  EXPECT_EQ(a.sticky_evictions, b.sticky_evictions);
-  EXPECT_EQ(a.router_load_imbalance, b.router_load_imbalance);
-  EXPECT_EQ(a.batches_inflight_peak, b.batches_inflight_peak);
-  EXPECT_EQ(a.fetch_overlap_us, b.fetch_overlap_us);
-  EXPECT_EQ(a.partitions_migrated, b.partitions_migrated);
-  EXPECT_EQ(a.storage_load_imbalance, b.storage_load_imbalance);
-  EXPECT_EQ(a.repartition_stall_us, b.repartition_stall_us);
-  EXPECT_EQ(a.partitions_replicated, b.partitions_replicated);
-  EXPECT_EQ(a.replica_reads, b.replica_reads);
-  EXPECT_EQ(a.replica_demotions, b.replica_demotions);
-  EXPECT_EQ(a.adjacency_compression_ratio, b.adjacency_compression_ratio);
-  EXPECT_EQ(a.cache_entries, b.cache_entries);
-  EXPECT_EQ(a.decompress_us, b.decompress_us);
-  EXPECT_EQ(a.trace_events_recorded, b.trace_events_recorded);
-  EXPECT_EQ(a.trace_events_dropped, b.trace_events_dropped);
-  EXPECT_EQ(a.trace_buffer_high_water, b.trace_buffer_high_water);
-  EXPECT_EQ(a.queries_shed, b.queries_shed);
-  EXPECT_EQ(a.mutations_applied, b.mutations_applied);
-  EXPECT_EQ(a.index_refreshes, b.index_refreshes);
-  EXPECT_EQ(a.stale_distance_error, b.stale_distance_error);
-  EXPECT_EQ(a.per_tenant, b.per_tenant);
+  ForEachMetric(
+      [&](const char* name, auto field) { EXPECT_EQ(a.*field, b.*field) << name; });
 }
 
 TEST(DeterminismTest, SimMetricsAreBitIdenticalAcrossRuns) {

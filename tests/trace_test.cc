@@ -22,6 +22,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/grouting.h"
@@ -67,6 +68,17 @@ class TraceTest : public ::testing::Test {
     return answers;
   }
 
+  // Bit-exact equality on every run metric except the trace_* counters,
+  // the only ones tracing is allowed to move.
+  static void ExpectMetricsIdenticalButTrace(const ClusterMetrics& off,
+                                             const ClusterMetrics& on) {
+    ForEachMetric([&](const char* name, auto field) {
+      if (!std::string_view(name).starts_with("trace_")) {
+        EXPECT_EQ(off.*field, on.*field) << name;
+      }
+    });
+  }
+
   static ExperimentEnv* env_;
 };
 
@@ -85,24 +97,8 @@ TEST_F(TraceTest, SimTracingOnIsMetricIdenticalToTracingOff) {
   const ClusterMetrics m_on = on->Run(queries);
   ASSERT_NE(on->tracer(), nullptr);
 
-  // Bit-exact equality on every run metric: tracing charged nothing.
-  EXPECT_EQ(m_off.queries, m_on.queries);
-  EXPECT_EQ(m_off.makespan_us, m_on.makespan_us);
-  EXPECT_EQ(m_off.throughput_qps, m_on.throughput_qps);
-  EXPECT_EQ(m_off.mean_response_ms, m_on.mean_response_ms);
-  EXPECT_EQ(m_off.p50_response_ms, m_on.p50_response_ms);
-  EXPECT_EQ(m_off.p95_response_ms, m_on.p95_response_ms);
-  EXPECT_EQ(m_off.p99_response_ms, m_on.p99_response_ms);
-  EXPECT_EQ(m_off.p999_response_ms, m_on.p999_response_ms);
-  EXPECT_EQ(m_off.mean_queue_wait_ms, m_on.mean_queue_wait_ms);
-  EXPECT_EQ(m_off.cache_hits, m_on.cache_hits);
-  EXPECT_EQ(m_off.cache_misses, m_on.cache_misses);
-  EXPECT_EQ(m_off.nodes_visited, m_on.nodes_visited);
-  EXPECT_EQ(m_off.bytes_from_storage, m_on.bytes_from_storage);
-  EXPECT_EQ(m_off.storage_batches, m_on.storage_batches);
-  EXPECT_EQ(m_off.steals, m_on.steals);
-  EXPECT_EQ(m_off.queries_per_processor, m_on.queries_per_processor);
-  EXPECT_EQ(m_off.queries_per_router_shard, m_on.queries_per_router_shard);
+  // Tracing charged nothing.
+  ExpectMetricsIdenticalButTrace(m_off, m_on);
 
   // Only the trace counters differ.
   EXPECT_EQ(m_off.trace_events_recorded, 0u);
@@ -147,23 +143,8 @@ TEST_F(TraceTest, SimTracingStaysMetricIdenticalWithReplicationEnabled) {
   const ClusterMetrics m_on = on->Run(queries);
   ASSERT_NE(on->tracer(), nullptr);
 
-  EXPECT_EQ(m_off.queries, m_on.queries);
-  EXPECT_EQ(m_off.makespan_us, m_on.makespan_us);
-  EXPECT_EQ(m_off.throughput_qps, m_on.throughput_qps);
-  EXPECT_EQ(m_off.mean_response_ms, m_on.mean_response_ms);
-  EXPECT_EQ(m_off.p99_response_ms, m_on.p99_response_ms);
-  EXPECT_EQ(m_off.p999_response_ms, m_on.p999_response_ms);
-  EXPECT_EQ(m_off.cache_hits, m_on.cache_hits);
-  EXPECT_EQ(m_off.cache_misses, m_on.cache_misses);
-  EXPECT_EQ(m_off.bytes_from_storage, m_on.bytes_from_storage);
-  EXPECT_EQ(m_off.storage_batches, m_on.storage_batches);
-  // The replication counters themselves must be tracer-invariant too.
-  EXPECT_EQ(m_off.partitions_replicated, m_on.partitions_replicated);
-  EXPECT_EQ(m_off.replica_reads, m_on.replica_reads);
-  EXPECT_EQ(m_off.replica_demotions, m_on.replica_demotions);
-  EXPECT_EQ(m_off.partitions_migrated, m_on.partitions_migrated);
-  EXPECT_EQ(m_off.storage_load_imbalance, m_on.storage_load_imbalance);
-  EXPECT_EQ(m_off.repartition_stall_us, m_on.repartition_stall_us);
+  // The replication counters included: they must be tracer-invariant too.
+  ExpectMetricsIdenticalButTrace(m_off, m_on);
 
   EXPECT_EQ(m_off.trace_events_recorded, 0u);
   EXPECT_GT(m_on.trace_events_recorded, 0u);

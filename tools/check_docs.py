@@ -2,7 +2,7 @@
 """Docs gate: markdown links resolve, and the shared config/metrics structs
 stay documented.
 
-Two checks, both designed to fail on UNDOCUMENTED ADDITIONS rather than to
+Three checks, all designed to fail on UNDOCUMENTED ADDITIONS rather than to
 police prose:
 
 1. Every relative markdown link in README.md, docs/*.md and
@@ -16,6 +16,11 @@ police prose:
    docs/METRICS.md mirrors them; an uncommented field is a field the next
    reader cannot interpret.
 
+3. Every `ClusterMetrics` field has a "| `name` |" row in docs/METRICS.md:
+   the bench JSON, the bench counters and the CLI table print every
+   metric under its field name, so the glossary is where a reader looks
+   each one up.
+
 Usage: tools/check_docs.py [--root <repo root>]
 """
 
@@ -28,6 +33,7 @@ import sys
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 STRUCTS = ("ClusterConfig", "ClusterMetrics")
 HEADER = os.path.join("src", "core", "cluster_engine.h")
+GLOSSARY = os.path.join("docs", "METRICS.md")
 
 # A field declaration: ends in ';', is not a method/using/friend line.
 FIELD_RE = re.compile(r"^\s*[A-Za-z_][\w:<>,\s*&\]\[]*\s+(\w+)\s*(=[^;]*|\{[^;]*\})?;")
@@ -85,6 +91,8 @@ def check_field_comments(root):
     path = os.path.join(root, HEADER)
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines()
+    with open(os.path.join(root, GLOSSARY), encoding="utf-8") as f:
+        glossary = f.read()
     failures = []
     fields = 0
     for name in STRUCTS:
@@ -114,6 +122,9 @@ def check_field_comments(root):
             if not documented:
                 failures.append(
                     f"{HEADER}: {name}::{m.group(1)} has no // doc comment")
+            if name == "ClusterMetrics" and f"| `{m.group(1)}` |" not in glossary:
+                failures.append(
+                    f"{GLOSSARY}: no | `{m.group(1)}` | row for {name}::{m.group(1)}")
             prev_was_comment = False
     print(f"doc-comment check: {fields} fields across {len(STRUCTS)} structs")
     return failures
